@@ -34,7 +34,6 @@ from .filtration import build
 from .persistence import RankQuery, reduce
 from .plots import emit_plots
 from .point_process import (
-    Box,
     DomainError,
     PointCloud,
     RngSeed,

@@ -13,7 +13,7 @@ import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -445,19 +445,15 @@ class TailTable:
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+    """Wilson score interval; its end points are exactly 0 at no successes and
+    exactly 1 at n, where the formula's round-off would miss them."""
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def _per_q_weak_value(trace, q: int) -> float:
-    d1 = trace.d1[:, q]
-    d2 = trace.d2[:, q]
-    changed = (d1 != d1[-1]) | (d2 != d2[-1])
-    idx = np.flatnonzero(changed)
-    return 0.0 if len(idx) == 0 else float(trace.radii[idx[-1] + 1])
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == n else min(1.0, center + half)
+    return low, high
 
 
 def radius_tail_experiment(
@@ -495,7 +491,7 @@ def radius_tail_experiment(
                     window_radius=window, return_trace=True,
                 )
                 weak_vals = {
-                    q: (math.inf if est.censored else _per_q_weak_value(trace, q)) for q in q_list
+                    q: (math.inf if est.censored else trace.settled_radius(q)) for q in q_list
                 }
                 strong_vals = {}
                 for q in q_list:

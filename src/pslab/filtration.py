@@ -8,8 +8,6 @@ enclosing ball of its vertices.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +45,19 @@ def _circumball(R: list[np.ndarray]) -> tuple[np.ndarray, float]:
     return c, r
 
 
-def _welzl(pts: list[np.ndarray], boundary: list[np.ndarray], d: int):
-    if not pts or len(boundary) == d + 1:
-        if not boundary:
-            return None
-        return _circumball(boundary)
-    p = pts[-1]
-    ball = _welzl(pts[:-1], boundary, d)
-    if ball is not None:
-        c, r = ball
-        if np.linalg.norm(p - c) <= r + MB_TOL * (1.0 + r):
-            return ball
-    return _welzl(pts[:-1], boundary + [p], d)
+def _welzl(pts: list[np.ndarray], n: int, boundary: list[np.ndarray], d: int):
+    """Smallest ball enclosing pts[:n] with the boundary points on its sphere,
+    or None when both are empty.  A point outside the current ball restarts
+    the search over the points before it with that point added to the
+    boundary, so the recursion is at most d + 2 deep."""
+    ball = _circumball(boundary) if boundary else None
+    if len(boundary) == d + 1:
+        return ball
+    for i in range(n):
+        if ball is not None and np.linalg.norm(pts[i] - ball[0]) <= ball[1] + MB_TOL * (1.0 + ball[1]):
+            continue
+        ball = _welzl(pts, i, boundary + [pts[i]], d)
+    return ball
 
 
 def miniball(points) -> tuple[np.ndarray, float]:
@@ -74,9 +73,7 @@ def miniball(points) -> tuple[np.ndarray, float]:
     if n == 3:
         return _mb3(pts[0], pts[1], pts[2])
     order = np.random.default_rng(0).permutation(n)
-    if n + 50 > sys.getrecursionlimit():
-        sys.setrecursionlimit(2 * n + 100)
-    ball = _welzl([pts[i] for i in order], [], d)
+    ball = _welzl([pts[i] for i in order], n, [], d)
     assert ball is not None
     return ball
 
@@ -133,9 +130,6 @@ class FilteredComplex:
     def event_times(self) -> np.ndarray:
         return np.unique(self.times)
 
-    def count_cells(self, q: int, r: float) -> int:
-        return int(np.count_nonzero((self.dims == q) & (self.times <= r)))
-
     def to_text(self) -> str:
         lines = []
         for v, t, q in zip(self.verts, self.times, self.dims):
@@ -187,8 +181,7 @@ def _lookup(codes: list[np.ndarray], n: int, rows: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _build(P: PointCloud, kind: str, r_max: float, q_max: int,
-           tie_break: str = "lex", tie_seed: int = 0) -> FilteredComplex:
+def _build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
     if r_max < 0:
         raise DomainError("r_max must be nonnegative")
     if q_max < 0:
@@ -256,36 +249,31 @@ def _build(P: PointCloud, kind: str, r_max: float, q_max: int,
 
     times_arr = np.concatenate(times)
     dims_arr = np.concatenate([np.full(len(s), k, dtype=int) for k, s in enumerate(simplices)])
-    if tie_break == "lex":
-        within = np.concatenate([np.arange(len(s)) for s in simplices])
-    elif tie_break == "random":
-        within = np.random.default_rng(tie_seed).random(len(times_arr))
-    else:
-        raise DomainError(f"unknown tie_break {tie_break!r}")
+    within = np.concatenate([np.arange(len(s)) for s in simplices])
     order = np.lexsort((within, dims_arr, times_arr))
     verts = [tuple(v) for s in simplices for v in s.tolist()]
     verts = [verts[k] for k in order.tolist()]
     return FilteredComplex(P.d, kind, q_max, r_max, verts, times_arr[order], dims_arr[order], pts)
 
 
-def build_rips(P: PointCloud, r_max: float, q_max: int, **kw) -> FilteredComplex:
+def build_rips(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    return _build(P, "rips", r_max, q_max, **kw)
+    return _build(P, "rips", r_max, q_max)
 
 
-def build_cech(P: PointCloud, r_max: float, q_max: int, **kw) -> FilteredComplex:
+def build_cech(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    return _build(P, "cech", r_max, q_max, **kw)
+    return _build(P, "cech", r_max, q_max)
 
 
-def build(P: PointCloud, kind: str, r_max: float, q_max: int, **kw) -> FilteredComplex:
+def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
     """Generic builder; unlike the named wrappers it accepts r_max = 0 (a
     vertices-only complex), which internal callers use for time-zero queries."""
     if kind not in ("rips", "cech"):
         raise DomainError(f"unknown filtration kind {kind!r}")
-    return _build(P, kind, r_max, q_max, **kw)
+    return _build(P, kind, r_max, q_max)
 
 
 def restrict(P: PointCloud, center, a: float) -> PointCloud:

@@ -1,9 +1,11 @@
 """Persistence over F2: column reduction, rank queries, and independent oracles.
 
 Chains are bitmask integers (bit i = cell i in the complex's stored order), so
-all linear algebra is XOR on Python ints.  The standard reduction and the
-clearing variant must produce identical diagrams; `persistent_betti_direct`
-recomputes ranks by dense elimination and serves as the independent oracle.
+all linear algebra is XOR on Python ints.  `Echelon` is the one pivot-table
+kernel: `reduce` and the stabilization radii feed it.  The standard reduction
+and the clearing variant must produce identical diagrams;
+`persistent_betti_direct` recomputes ranks by its own dense elimination and
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -53,20 +55,8 @@ class PersistenceDiagram:
     q_max: int
     r_max: float
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.qs)
-
     def persistent_betti(self, query: RankQuery) -> int:
         return persistent_betti(self, query)
-
-    def cycle_space_dim(self, q: int, r: float) -> int:
-        """dim Z_q at time r = number of q-classes born by r."""
-        return int(np.count_nonzero((self.qs == q) & (self.births <= r)))
-
-    def cycles_in_boundaries_dim(self, q: int, r: float, s: float) -> int:
-        """dim (Z_q at time r) intersected with (B_q at time s)."""
-        return int(np.count_nonzero((self.qs == q) & (self.births <= r) & (self.deaths <= s)))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -84,6 +74,55 @@ def diagram_from_csv(text: str, kind: str = "", q_max: int = 0, r_max: float = m
     births = np.array([float(r[1]) for r in body])
     deaths = np.array([math.inf if r[2] == "inf" else float(r[2]) for r in body])
     return PersistenceDiagram(qs, births, deaths, kind, q_max, r_max)
+
+
+class Echelon:
+    """Incremental F2 echelon basis: each stored column is keyed by its low,
+    the index of its highest set bit."""
+
+    def __init__(self):
+        self.pivots: dict[int, int] = {}
+
+    def insert(self, v: int) -> int:
+        """Reduce v against the basis and store what remains.  Returns the low
+        of the new pivot, or -1 when v is already in the span."""
+        pivots = self.pivots
+        while v:
+            low = v.bit_length() - 1
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = v
+                return low
+            v ^= p
+        return -1
+
+    def copy(self) -> "Echelon":
+        other = Echelon()
+        other.pivots = dict(self.pivots)
+        return other
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> tuple[int, int] | None:
+        """Link the root of a's set under the root of b's.  Returns (old root
+        of a, root of b), or None when a and b were already in one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        self.parent[ra] = rb
+        return ra, rb
 
 
 def boundary_masks(C: FilteredComplex) -> list[int]:
@@ -105,7 +144,7 @@ def reduce(C: FilteredComplex, clearing: bool = False) -> PersistenceDiagram:
     """Standard left-to-right column reduction of the boundary matrix over F2."""
     masks = boundary_masks(C)
     n = C.n_cells
-    pivots: dict[int, int] = {}  # low -> the reduced column with that low
+    insert = Echelon().insert
     death_of: dict[int, int] = {}  # birth cell (a low) -> death cell
 
     if clearing:
@@ -119,15 +158,9 @@ def reduce(C: FilteredComplex, clearing: bool = False) -> PersistenceDiagram:
     for j in order:
         if j in death_of:
             continue
-        col = masks[j]
-        while col:
-            low = col.bit_length() - 1
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = col
-                death_of[low] = j
-                break
-            col ^= p
+        low = insert(masks[j])
+        if low >= 0:
+            death_of[low] = j
 
     qs, births, deaths = [], [], []
     killed = set(death_of.values())
@@ -162,6 +195,8 @@ def persistent_betti(D: PersistenceDiagram, query: RankQuery) -> int:
 # ---------------------------------------------------------------------------
 # Dense F2 oracle
 # ---------------------------------------------------------------------------
+# `_rank` and `_nullspace_combos` repeat the pivot loop of `Echelon` on
+# purpose: the judge must not share the code it judges.
 
 
 def _rank(vectors: list[int]) -> int:
@@ -243,20 +278,11 @@ def connected_component_count(P: PointCloud, threshold: float, kind: str = "rips
     n = P.n
     if n == 0:
         return 0
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(n)
     count = n
     if threshold > 0 and n >= 2:
         pairs, _ = close_pairs(P.points, mu(kind, threshold))
         for i, j in pairs.tolist():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+            if sets.union(i, j) is not None:
                 count -= 1
     return count

@@ -7,7 +7,6 @@ files.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 

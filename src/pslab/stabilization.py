@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filtration import build, close_pairs, mu
-from .persistence import RankQuery, boundary_masks, reduce
+from .persistence import Echelon, RankQuery, UnionFind, boundary_masks, reduce
 from .point_process import (
     BallWindow,
     Box,
@@ -56,6 +55,16 @@ class StabilizationTrace:
     radii: np.ndarray  # (m,) increasing
     d1: np.ndarray  # (m, d) rows per radius, columns per q
     d2: np.ndarray
+
+    def settled_radius(self, q: int | None = None) -> float:
+        """The probe radius right after the last one at which D1 or D2 (of
+        degree q, or of any degree when q is None) differs from its final
+        value; 0 when neither ever does."""
+        cols = slice(None) if q is None else [q]
+        d1, d2 = self.d1[:, cols], self.d2[:, cols]
+        changed = ((d1 != d1[-1]) | (d2 != d2[-1])).any(axis=1)
+        idx = np.flatnonzero(changed)
+        return 0.0 if len(idx) == 0 else float(self.radii[idx[-1] + 1])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -118,19 +127,32 @@ def window_radius_around(window, z: np.ndarray) -> float:
     raise DomainError(f"unsupported window type {type(window).__name__}")
 
 
+def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float | None):
+    """z and the added points Q as float arrays, the window radius (by default
+    the largest ball around z inside P's window), and a*(t) = max |Q - z| +
+    mu(t), which the window radius must reach."""
+    z = np.asarray(z, dtype=float)
+    Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
+    if window_radius is None:
+        window_radius = window_radius_around(P.window, z)
+    L = float(np.linalg.norm(Q - z, axis=1).max()) if len(Q) else 0.0
+    a_star = L + mu(kind, t)
+    if window_radius < a_star:
+        raise DomainError(f"window radius {window_radius} below a*({t}) = {a_star}")
+    return z, Q, window_radius, a_star
+
+
 class _GlobalComplex:
     """One complex on P u Q with per-cell ball radii; restrictions are prefixes
     in the (ball radius) filter while keeping the stored (time, dim) order."""
 
     def __init__(self, P: PointCloud, Q: np.ndarray, z: np.ndarray, kind: str, r_max: float, q_max: int):
-        Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
         pts = np.vstack([P.points, Q]) if P.n else Q
         merged = PointCloud(pts, P.window)
         self.C = build(merged, kind, r_max=r_max, q_max=q_max)
         self.masks = boundary_masks(self.C)
-        dist = np.linalg.norm(pts - np.asarray(z, dtype=float), axis=1)
+        dist = np.linalg.norm(pts - z, axis=1)
         self.point_dist = dist
-        self.n_base = P.n
         self.cell_ball = np.array([dist[list(v)].max() for v in self.C.verts])
         self.cell_uses_q = np.array([any(i >= P.n for i in v) for v in self.C.verts])
 
@@ -152,9 +174,9 @@ class _GlobalComplex:
         cells = np.flatnonzero(keep)
         cells = cells[np.argsort(self.cell_ball[cells], kind="stable")]
         late = int.from_bytes(np.packbits(C.times > r, bitorder="little").tobytes(), "little")
-        born = [_Echelon() for _ in range(d)]  # d_q columns of cells born by r, q >= 1
-        alive = [_Echelon() for _ in range(d)]  # d_{q+1} columns
-        late_rows = [_Echelon() for _ in range(d)]  # d_{q+1} columns, rows born after r
+        born = [Echelon() for _ in range(d)]  # d_q columns of cells born by r, q >= 1
+        alive = [Echelon() for _ in range(d)]  # d_{q+1} columns
+        late_rows = [Echelon() for _ in range(d)]  # d_{q+1} columns, rows born after r
         n_born = np.zeros(d, dtype=int)
         rank_born = np.zeros(d, dtype=int)
         rank_alive = np.zeros(d, dtype=int)
@@ -170,10 +192,10 @@ class _GlobalComplex:
                 if q < d and C.times[i] <= r:
                     n_born[q] += 1
                     if q:
-                        rank_born[q] += born[q].insert(masks[i])
+                        rank_born[q] += born[q].insert(masks[i]) >= 0
                 if 1 <= q <= d:
-                    rank_alive[q - 1] += alive[q - 1].insert(masks[i])
-                    rank_late[q - 1] += late_rows[q - 1].insert(masks[i] & late)
+                    rank_alive[q - 1] += alive[q - 1].insert(masks[i]) >= 0
+                    rank_late[q - 1] += late_rows[q - 1].insert(masks[i] & late) >= 0
             dim_z[row] = n_born - rank_born
             dim_zb[row] = rank_alive - rank_late
         return dim_z, dim_zb
@@ -190,15 +212,7 @@ def stabilization_trace(
 ) -> StabilizationTrace:
     if r > s:
         raise DomainError("weak radius needs r <= s")
-    z = np.asarray(z, dtype=float)
-    Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
-    if window_radius is None:
-        window_radius = window_radius_around(P.window, z)
-    L = float(np.linalg.norm(Q - z, axis=1).max()) if len(Q) else 0.0
-    a_star = L + mu(kind, s)
-    if window_radius < a_star:
-        raise DomainError(f"window radius {window_radius} below a*(s) = {a_star}")
-
+    z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
     events = np.unique(G.point_dist[G.point_dist <= window_radius])
     probes = np.unique(np.concatenate([events, [a_star, window_radius]]))
@@ -223,15 +237,11 @@ def weak_radius(
     Censored when less than `margin` (default 2 mu(s)) of constant trailing
     radius was observed inside the window.
     """
-    if window_radius is None:
-        window_radius = window_radius_around(P.window, z)
     if margin is None:
         margin = 2.0 * mu(kind, s)
     trace = stabilization_trace(P, Q, z, r, s, kind, window_radius)
-    changed = (trace.d1 != trace.d1[-1]).any(axis=1) | (trace.d2 != trace.d2[-1]).any(axis=1)
-    idx = np.flatnonzero(changed)
-    value = 0.0 if len(idx) == 0 else float(trace.radii[idx[-1] + 1])
-    censored = (window_radius - value) < margin
+    value = trace.settled_radius()
+    censored = (trace.radii[-1] - value) < margin  # the last probe is the window radius
     est = RadiusEstimate(value, bool(censored), float(margin))
     return (est, trace) if return_trace else est
 
@@ -239,33 +249,6 @@ def weak_radius(
 # ---------------------------------------------------------------------------
 # Strong radius surrogate
 # ---------------------------------------------------------------------------
-
-
-class _Echelon:
-    """Incremental F2 echelon basis supporting membership tests."""
-
-    def __init__(self):
-        self.pivots: dict[int, int] = {}
-
-    def residual(self, v: int) -> int:
-        while v:
-            p = self.pivots.get(v.bit_length() - 1)
-            if p is None:
-                return v
-            v ^= p
-        return 0
-
-    def insert(self, v: int) -> bool:
-        v = self.residual(v)
-        if v:
-            self.pivots[v.bit_length() - 1] = v
-            return True
-        return False
-
-    def copy(self) -> "_Echelon":
-        other = _Echelon()
-        other.pivots = dict(self.pivots)
-        return other
 
 
 def strong_radius_estimate(
@@ -286,16 +269,8 @@ def strong_radius_estimate(
     so no unseen point can complete a cycle through it).  The reported horizon
     only grows under the surrogate; it dominates the exact radius.
     """
-    z = np.asarray(z, dtype=float)
-    Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
-    if window_radius is None:
-        window_radius = window_radius_around(P.window, z)
-    L = float(np.linalg.norm(Q - z, axis=1).max()) if len(Q) else 0.0
+    z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
     interaction = mu(kind, r)
-    a_star = L + interaction
-    if window_radius < a_star:
-        raise DomainError(f"window radius {window_radius} below a*(r) = {a_star}")
-
     G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
     C = G.C
     new_ids = [
@@ -308,9 +283,8 @@ def strong_radius_estimate(
     if not new_ids:
         return RadiusEstimate(float(a_star), False, 0.0)
 
-    pts = np.vstack([P.points, Q]) if P.n else Q
     dist = G.point_dist
-    pairs, _ = close_pairs(pts, interaction)
+    pairs, _ = close_pairs(C.vertex_coords, interaction)
     pair_maxdist = np.maximum(dist[pairs[:, 0]], dist[pairs[:, 1]])
 
     horizons = np.unique(np.concatenate([dist[(dist > a_star) & (dist <= window_radius)], [a_star, window_radius]]))
@@ -325,15 +299,9 @@ def strong_radius_estimate(
     # Everything below only grows with R: the span of the base q-cells inside
     # B(z, R), and the union-find over points within B(z, R) (for the locality
     # certificate) with the largest distance to z per component.
-    base = _Echelon()
-    parent = list(range(len(pts)))
+    base = Echelon()
+    sets = UnionFind(len(dist))
     comp_max: dict[int, float] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     for R in horizons:
         while next_base < len(base_q) and G.cell_ball[base_q[next_base]] <= R:
@@ -347,20 +315,19 @@ def strong_radius_estimate(
         while next_pair < len(pair_rows) and pair_maxdist[pair_rows[next_pair]] <= R:
             a, b = (int(x) for x in pairs[pair_rows[next_pair]])
             next_pair += 1
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            merged = sets.union(a, b)
+            if merged is not None:
+                ra, rb = merged
                 comp_max[rb] = max(comp_max[rb], comp_max.pop(ra))
 
         for i in new_ids:
-            positive = ech.residual(masks[i]) == 0
-            ech.insert(masks[i])
+            positive = ech.insert(masks[i]) < 0
             if i not in unresolved:
                 continue
             if positive:
                 unresolved.discard(i)
                 continue
-            roots = {find(v) for v in C.verts[i]}
+            roots = {sets.find(v) for v in C.verts[i]}
             if all(comp_max[rt] <= R - 2.0 * interaction for rt in roots):
                 unresolved.discard(i)
         if not unresolved:

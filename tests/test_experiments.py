@@ -252,8 +252,10 @@ def test_tail_table_csv_header():
 def test_wilson_interval():
     lo, hi = wilson_interval(50, 100)
     assert 0.0 <= lo < 0.5 < hi <= 1.0
-    assert wilson_interval(0, 100)[0] == pytest.approx(0.0, abs=1e-12)
-    assert wilson_interval(100, 100)[1] == 1.0
+    # the end points are exact, so survival 0 or 1 lies inside its own interval
+    for n in range(1, 2001):
+        assert wilson_interval(0, n)[0] == 0.0, n
+        assert wilson_interval(n, n)[1] == 1.0, n
 
 
 # -- CSV serialization ---------------------------------------------------------

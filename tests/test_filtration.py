@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,18 @@ def test_miniball_against_brute_force():
         pts = rng.random((30, 2))
         _, r = miniball(pts)
         assert abs(r - _brute_miniball_radius(pts)) <= 1e-9
+
+
+def test_miniball_keeps_recursion_limit():
+    rng = np.random.default_rng(29)
+    angles = rng.random(1000) * 2.0 * np.pi
+    rim = np.column_stack([1.0 + 2.0 * np.cos(angles), -1.0 + 2.0 * np.sin(angles)])
+    inner = np.array([1.0, -1.0]) + rng.uniform(-1.4, 1.4, (2000, 2))
+    pts = np.vstack([rim, inner])
+    limit = sys.getrecursionlimit()
+    c, r = miniball(pts)
+    assert sys.getrecursionlimit() == limit
+    assert abs(r - 2.0) <= 1e-9 and np.allclose(c, [1.0, -1.0], atol=1e-9)
 
 
 def test_miniball_rejects_empty():
