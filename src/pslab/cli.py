@@ -38,6 +38,7 @@ from .point_process import (
     PointCloud,
     RngSeed,
     cloud_from_csv,
+    csv_text,
     density_from_json,
     sample_binomial,
     sample_poisson_homogeneous,
@@ -128,11 +129,9 @@ def _cmd_persist(cfg: dict, seed: RngSeed, out: str, threads: int):
     D = reduce(C)
     _write(out, "diagram.csv", D.to_csv())
     if "queries" in cfg:
-        lines = ["q,r,s,betti"]
-        for q, r, s in cfg["queries"]:
-            b = D.persistent_betti(RankQuery(int(q), float(r), float(s)))
-            lines.append(f"{int(q)},{repr(float(r))},{repr(float(s))},{b}")
-        _write(out, "queries.csv", "\n".join(lines) + "\n")
+        queries = [RankQuery(int(q), float(r), float(s)) for q, r, s in cfg["queries"]]
+        rows = ((qr.q, qr.r, qr.s, D.persistent_betti(qr)) for qr in queries)
+        _write(out, "queries.csv", csv_text(["q", "r", "s", "betti"], rows))
 
 
 def _cmd_radius(cfg: dict, seed: RngSeed, out: str, threads: int):

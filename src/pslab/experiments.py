@@ -8,8 +8,6 @@ worker count; aggregation is by replicate index only.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +25,7 @@ from .point_process import (
     DomainError,
     PointCloud,
     RngSeed,
+    csv_text,
     sample_binomial,
     sample_poisson_homogeneous,
 )
@@ -260,24 +259,20 @@ def run_clt(config: CltConfig, threads: int = 1) -> CltResult:
         cov = (cov + cov.T) / 2.0
         if np.linalg.eigvalsh(cov).min() < -1e-8:
             raise NumericalError("covariance estimate is not positive semidefinite")
-        scores = []
-        for i in range(l):
-            label = f"coord_{i}"
-            try:
-                sc = normality_score(std[:, i])
-            except NumericalError:
-                sc = NormalityScore(math.nan, math.nan, math.nan, math.nan)
-            scores.append({"label": label, **sc._asdict()})
+        # each coordinate, and for l > 1 three random unit projections
+        samples = {f"coord_{i}": std[:, i] for i in range(l)}
         if l > 1:
             prng = np.random.default_rng(np.random.SeedSequence(config.seed.seed, spawn_key=(999,)))
             for k in range(3):
                 v = prng.standard_normal(l)
-                v /= np.linalg.norm(v)
-                try:
-                    sc = normality_score(std @ v)
-                except NumericalError:
-                    sc = NormalityScore(math.nan, math.nan, math.nan, math.nan)
-                scores.append({"label": f"proj_{k}", **sc._asdict()})
+                samples[f"proj_{k}"] = std @ (v / np.linalg.norm(v))
+        scores = []
+        for label, x in samples.items():
+            try:
+                sc = normality_score(x)
+            except NumericalError:
+                sc = NormalityScore(math.nan, math.nan, math.nan, math.nan)
+            scores.append({"label": label, **sc._asdict()})
         per_n[n] = CltPerN(betas, std, cov, scores)
     return CltResult(config, per_n, time.time() - t0)
 
@@ -420,28 +415,15 @@ def depoissonization_check(
 # ---------------------------------------------------------------------------
 
 
+TAIL_COLUMNS = ["lambda", "r", "q", "statistic", "L", "survival", "wilson_low", "wilson_high"]
+
+
 @dataclass
 class TailTable:
-    rows: list  # dicts: lambda, r, q, statistic, L, survival, wilson_low, wilson_high
+    rows: list  # dicts keyed by TAIL_COLUMNS
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["lambda", "r", "q", "statistic", "L", "survival", "wilson_low", "wilson_high"])
-        for row in self.rows:
-            w.writerow(
-                [
-                    repr(float(row["lambda"])),
-                    repr(float(row["r"])),
-                    int(row["q"]),
-                    row["statistic"],
-                    repr(float(row["L"])),
-                    repr(float(row["survival"])),
-                    repr(float(row["wilson_low"])),
-                    repr(float(row["wilson_high"])),
-                ]
-            )
-        return buf.getvalue()
+        return csv_text(TAIL_COLUMNS, ([row[c] for c in TAIL_COLUMNS] for row in self.rows))
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -527,38 +509,26 @@ def radius_tail_experiment(
 
 
 def replicates_csv(result: CltResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "rep", "pair_index", "beta", "standardized"])
-    for n in result.config.n_grid:
-        page = result.per_n[n]
-        for rep in range(page.betas.shape[0]):
-            for i in range(page.betas.shape[1]):
-                w.writerow(
-                    [n, rep, i, repr(float(page.betas[rep, i])), repr(float(page.standardized[rep, i]))]
-                )
-    return buf.getvalue()
+    return csv_text(
+        ["n", "rep", "pair_index", "beta", "standardized"],
+        (
+            (n, rep, i, beta, result.per_n[n].standardized[rep, i])
+            for n in result.config.n_grid
+            for (rep, i), beta in np.ndenumerate(result.per_n[n].betas)
+        ),
+    )
 
 
 def covariance_csv(result: CltResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "i", "j", "value"])
-    for n in result.config.n_grid:
-        cov = result.per_n[n].covariance
-        for i in range(cov.shape[0]):
-            for j in range(cov.shape[1]):
-                w.writerow([n, i, j, repr(float(cov[i, j]))])
-    return buf.getvalue()
+    return csv_text(
+        ["n", "i", "j", "value"],
+        ((n, i, j, v) for n in result.config.n_grid for (i, j), v in np.ndenumerate(result.per_n[n].covariance)),
+    )
 
 
 def scores_csv(result: CltResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "label", "ad", "ks", "skewness", "excess_kurtosis"])
-    for n in result.config.n_grid:
-        for row in result.per_n[n].scores:
-            w.writerow(
-                [n, row["label"], repr(row["ad"]), repr(row["ks"]), repr(row["skewness"]), repr(row["excess_kurtosis"])]
-            )
-    return buf.getvalue()
+    columns = ["label", *NormalityScore._fields]
+    return csv_text(
+        ["n", *columns],
+        ([n, *(row[c] for c in columns)] for n in result.config.n_grid for row in result.per_n[n].scores),
+    )

@@ -95,15 +95,6 @@ def _mb3(p, q, r) -> tuple[np.ndarray, float]:
     return _circumball([p, q, r])
 
 
-def _simplex_time(kind: str, coords: np.ndarray, verts: tuple[int, ...], diam: float) -> float:
-    if kind == "rips":
-        return diam
-    sub = coords[list(verts)]
-    if len(verts) == 2:
-        return diam / 2.0
-    return miniball(sub)[1] if len(verts) > 3 else _mb3(sub[0], sub[1], sub[2])[1]
-
-
 # ---------------------------------------------------------------------------
 # Filtered complex
 # ---------------------------------------------------------------------------
@@ -181,14 +172,16 @@ def _lookup(codes: list[np.ndarray], n: int, rows: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
+def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
+    """Generic builder; unlike the named wrappers it accepts r_max = 0 (a
+    vertices-only complex), which internal callers use for time-zero queries."""
+    cutoff = mu(kind, r_max)  # rejects an unknown kind
     if r_max < 0:
         raise DomainError("r_max must be nonnegative")
     if q_max < 0:
         raise DomainError("q_max must be nonnegative")
     pts = P.points
     n = pts.shape[0]
-    cutoff = mu(kind, r_max)
 
     # Per dimension k: the k-simplices as vertex rows in lexicographic order,
     # their entry times, and their lookup codes (see `_lookup`).
@@ -233,7 +226,7 @@ def _build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComple
             if kind == "rips":
                 t = new_diam
             else:
-                t = np.array([_simplex_time(kind, pts, tuple(v), dm) for v, dm in zip(cells.tolist(), new_diam.tolist())])
+                t = np.array([miniball(pts[v])[1] for v in cells.tolist()])
             keep = t <= r_max
             simplices.append(cells[keep])
             times.append(t[keep])
@@ -259,21 +252,13 @@ def _build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComple
 def build_rips(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    return _build(P, "rips", r_max, q_max)
+    return build(P, "rips", r_max, q_max)
 
 
 def build_cech(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    return _build(P, "cech", r_max, q_max)
-
-
-def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
-    """Generic builder; unlike the named wrappers it accepts r_max = 0 (a
-    vertices-only complex), which internal callers use for time-zero queries."""
-    if kind not in ("rips", "cech"):
-        raise DomainError(f"unknown filtration kind {kind!r}")
-    return _build(P, kind, r_max, q_max)
+    return build(P, "cech", r_max, q_max)
 
 
 def restrict(P: PointCloud, center, a: float) -> PointCloud:
@@ -301,6 +286,6 @@ def count_new_simplices(X: PointCloud, Y: PointCloud, s: float, q: int, kind: st
     if s <= 0:
         # At s = 0 (or below) only vertices are present.
         return (Y.n - X.n) if q == 0 and s >= 0 else 0
-    cy = _build(Y, kind, s, q)
-    cx = _build(X, kind, s, q)
+    cy = build(Y, kind, s, q)
+    cx = build(X, kind, s, q)
     return int(np.count_nonzero(cy.dims == q)) - int(np.count_nonzero(cx.dims == q))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtration import FilteredComplex, close_pairs, mu
-from .point_process import DomainError, PointCloud
+from .point_process import DomainError, PointCloud, csv_text
 
 ORACLE_CELL_CAP = 5000
 
@@ -59,12 +59,7 @@ class PersistenceDiagram:
         return persistent_betti(self, query)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["q", "birth", "death"])
-        for q, b, d in zip(self.qs, self.births, self.deaths):
-            writer.writerow([int(q), repr(float(b)), "inf" if math.isinf(d) else repr(float(d))])
-        return buf.getvalue()
+        return csv_text(["q", "birth", "death"], zip(self.qs, self.births, self.deaths))
 
 
 def diagram_from_csv(text: str, kind: str = "", q_max: int = 0, r_max: float = math.inf) -> PersistenceDiagram:
@@ -265,12 +260,6 @@ def persistent_betti_direct(C: FilteredComplex, query: RankQuery) -> int:
     dim_b = _rank(b_gens)
     dim_zb = _rank(z_vectors + b_gens)
     return dim_zb - dim_b
-
-
-def rank_queries_from_csv(text: str) -> list[RankQuery]:
-    """Batch rank queries from CSV with header q,r,s."""
-    rows = list(csv.reader(io.StringIO(text)))
-    return [RankQuery(int(q), float(r), float(s)) for q, r, s in rows[1:]]
 
 
 def connected_component_count(P: PointCloud, threshold: float, kind: str = "rips") -> int:

@@ -24,6 +24,29 @@ class DomainError(ValueError):
     """Invalid parameter for a sampling or geometric operation."""
 
 
+def _cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, str):
+        return v
+    raise TypeError(f"no CSV cell rule for {type(v).__name__}")
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """The one CSV format of every table pslab writes: a header row, "\n" line
+    ends, booleans as true/false, integers in decimal, floats as the repr of
+    a Python float (so inf and nan print as such) and strings as given."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """A (seed, stream) pair; distinct streams are statistically independent."""
@@ -151,12 +174,7 @@ class PointCloud:
         return PointCloud(a * self.points, w)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(self.d)])
-        for row in self.points:
-            writer.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
+        return csv_text([f"x{i}" for i in range(self.d)], self.points)
 
     def to_json_envelope(self, seed: RngSeed | None = None, density: dict | None = None) -> str:
         obj = {

@@ -9,14 +9,11 @@ exact stopping-time condition is not computable from a finite window.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import build, close_pairs, mu
+from .filtration import build, mu
 from .persistence import Echelon, RankQuery, UnionFind, boundary_masks, reduce
 from .point_process import (
     BallWindow,
@@ -24,6 +21,7 @@ from .point_process import (
     DomainError,
     PointCloud,
     RngSeed,
+    csv_text,
     sample_poisson_homogeneous,
 )
 
@@ -67,13 +65,10 @@ class StabilizationTrace:
         return 0.0 if len(idx) == 0 else float(self.radii[idx[-1] + 1])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["a", "q", "D1", "D2"])
-        for i, a in enumerate(self.radii):
-            for q in range(self.d1.shape[1]):
-                w.writerow([repr(float(a)), q, int(self.d1[i, q]), int(self.d2[i, q])])
-        return buf.getvalue()
+        return csv_text(
+            ["a", "q", "D1", "D2"],
+            ((a, q, self.d1[i, q], self.d2[i, q]) for i, a in enumerate(self.radii) for q in range(self.d1.shape[1])),
+        )
 
 
 @dataclass(frozen=True)
@@ -153,8 +148,12 @@ class _GlobalComplex:
         self.masks = boundary_masks(self.C)
         dist = np.linalg.norm(pts - z, axis=1)
         self.point_dist = dist
-        self.cell_ball = np.array([dist[list(v)].max() for v in self.C.verts])
-        self.cell_uses_q = np.array([any(i >= P.n for i in v) for v in self.C.verts])
+        # vertex rows padded with their own last vertex; tuples are ascending,
+        # so the last column holds each cell's largest index
+        width = q_max + 1
+        rows = np.array([v + v[-1:] * (width - len(v)) for v in self.C.verts], dtype=np.intp).reshape(-1, width)
+        self.cell_ball = dist[rows].max(axis=1)
+        self.cell_uses_q = rows[:, -1] >= P.n
 
     def pair_counts(self, radii: np.ndarray, with_q: bool, r: float, d: int):
         """dim Z_q(K_r) and dim(Z_q(K_r) ^ B_q(K_s)) for q < d, on the subcomplex
@@ -227,18 +226,16 @@ def weak_radius(
     z: np.ndarray,
     r: float,
     s: float,
-    margin: float | None = None,
     kind: str = "rips",
     window_radius: float | None = None,
     return_trace: bool = False,
 ):
     """Smallest event radius beyond which D1 and D2 are constant for every q.
 
-    Censored when less than `margin` (default 2 mu(s)) of constant trailing
-    radius was observed inside the window.
+    Censored when less than a margin of 2 mu(s) of constant trailing radius
+    was observed inside the window.
     """
-    if margin is None:
-        margin = 2.0 * mu(kind, s)
+    margin = 2.0 * mu(kind, s)
     trace = stabilization_trace(P, Q, z, r, s, kind, window_radius)
     value = trace.settled_radius()
     censored = (trace.radii[-1] - value) < margin  # the last probe is the window radius
@@ -273,27 +270,24 @@ def strong_radius_estimate(
     interaction = mu(kind, r)
     G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
     C = G.C
-    new_ids = [
-        int(i)
-        for i in np.flatnonzero((C.dims == q) & G.cell_uses_q)
-        if G.cell_ball[i] <= a_star + 1e-12
-    ]
+    new_ids = np.flatnonzero((C.dims == q) & G.cell_uses_q)
     # every simplex through Q at parameter r sits inside B(z, a*(r))
-    assert all(G.cell_ball[i] <= a_star + 1e-9 for i in np.flatnonzero((C.dims == q) & G.cell_uses_q))
+    assert np.all(G.cell_ball[new_ids] <= a_star + 1e-9)
+    new_ids = new_ids.tolist()
     if not new_ids:
         return RadiusEstimate(float(a_star), False, 0.0)
 
     dist = G.point_dist
-    pairs, _ = close_pairs(C.vertex_coords, interaction)
-    pair_maxdist = np.maximum(dist[pairs[:, 0]], dist[pairs[:, 1]])
-
     horizons = np.unique(np.concatenate([dist[(dist > a_star) & (dist <= window_radius)], [a_star, window_radius]]))
     masks = G.masks
     base_q = np.flatnonzero((C.dims == q) & ~G.cell_uses_q)
     base_q = base_q[np.argsort(G.cell_ball[base_q], kind="stable")].tolist()
     points = np.argsort(dist, kind="stable").tolist()
-    pair_rows = np.argsort(pair_maxdist, kind="stable").tolist()
-    next_base = next_point = next_pair = 0
+    # the complex's edges are the pairs within mu(r), each entering B(z, R)
+    # at its cell ball radius
+    edges = np.flatnonzero(C.dims == 1)
+    edges = edges[np.argsort(G.cell_ball[edges], kind="stable")].tolist()
+    next_base = next_point = next_edge = 0
     unresolved = set(new_ids)
 
     # Everything below only grows with R: the span of the base q-cells inside
@@ -312,9 +306,9 @@ def strong_radius_estimate(
             p = points[next_point]
             next_point += 1
             comp_max[p] = float(dist[p])  # a point joins its component only via later pairs
-        while next_pair < len(pair_rows) and pair_maxdist[pair_rows[next_pair]] <= R:
-            a, b = (int(x) for x in pairs[pair_rows[next_pair]])
-            next_pair += 1
+        while next_edge < len(edges) and G.cell_ball[edges[next_edge]] <= R:
+            a, b = C.verts[edges[next_edge]]
+            next_edge += 1
             merged = sets.union(a, b)
             if merged is not None:
                 ra, rb = merged
@@ -340,13 +334,6 @@ def strong_radius_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _restrict_box(P: PointCloud, box: Box) -> PointCloud:
-    keep = np.ones(P.n, dtype=bool)
-    for j in range(P.d):
-        keep &= (P.points[:, j] >= box.lo[j]) & (P.points[:, j] <= box.hi[j])
-    return PointCloud(P.points[keep], box)
-
-
 def swap_difference(
     P: PointCloud,
     P_prime: PointCloud,
@@ -369,8 +356,9 @@ def swap_difference(
     if any(cube_lo[j] < box.lo[j] or cube_hi[j] > box.hi[j] for j in range(d)):
         raise DomainError("the swap cube Q(z) must lie inside B_n")
 
-    base = _restrict_box(P, box)
-    swapped = _restrict_box(swap_window(P, P_prime, z), box)
+    base = PointCloud(P.points[box.contains(P.points)], box)
+    swapped = swap_window(P, P_prime, z).points
+    swapped = PointCloud(swapped[box.contains(swapped)], box)
     Cb = build(base, kind, r_max=s, q_max=q + 1)
     Cs = build(swapped, kind, r_max=s, q_max=q + 1)
     query = RankQuery(q, r, s)
@@ -392,13 +380,13 @@ def swap_difference(
 
 
 def radius_rows_to_csv(rows: list[tuple[np.ndarray, float, float, RadiusEstimate]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["z", "r", "s", "value", "censored"])
-    for z, r, s, est in rows:
-        zs = ";".join(repr(float(c)) for c in np.atleast_1d(z))
-        w.writerow([zs, repr(float(r)), repr(float(s)), repr(est.value), str(est.censored).lower()])
-    return buf.getvalue()
+    return csv_text(
+        ["z", "r", "s", "value", "censored"],
+        (
+            (";".join(repr(float(c)) for c in np.atleast_1d(z)), float(r), float(s), est.value, est.censored)
+            for z, r, s, est in rows
+        ),
+    )
 
 
 def run_radius_jobs(jobs: list[dict]) -> list[tuple[np.ndarray, float, float, RadiusEstimate]]:
@@ -424,7 +412,3 @@ def run_radius_jobs(jobs: list[dict]) -> list[tuple[np.ndarray, float, float, Ra
             est = weak_radius(P, Q, z, r, s, kind=kind, window_radius=w)
             out.append((z, r, s, est))
     return out
-
-
-def run_radius_jobs_json(text: str) -> str:
-    return radius_rows_to_csv(run_radius_jobs(json.loads(text)))

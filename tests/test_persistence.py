@@ -11,7 +11,6 @@ from pslab.persistence import (
     connected_component_count,
     diagram_from_csv,
     persistent_betti_direct,
-    rank_queries_from_csv,
     reduce,
 )
 from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
@@ -215,11 +214,6 @@ def test_diagram_csv_roundtrip():
     assert np.array_equal(back.qs, D.qs)
     assert np.array_equal(back.births, D.births)
     assert np.array_equal(back.deaths, D.deaths)
-
-
-def test_rank_queries_csv():
-    queries = rank_queries_from_csv("q,r,s\n1,0.5,0.7\n0,0.0,0.0\n")
-    assert queries == [RankQuery(1, 0.5, 0.7), RankQuery(0, 0.0, 0.0)]
 
 
 def test_infinite_pairs_count_betti_at_cap():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,10 @@ from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_po
 from pslab.stabilization import (
     AddOneQuery,
     RadiusEstimate,
+    _GlobalComplex,
     add_one_cost,
     radius_rows_to_csv,
-    run_radius_jobs_json,
+    run_radius_jobs,
     stabilization_trace,
     strong_radius_estimate,
     swap_difference,
@@ -104,7 +103,7 @@ def test_weak_radius_small_window_error():
 
 
 def test_weak_radius_censoring_flag():
-    # value 0.5, window 2, margin default 2*mu(1) = 2 > 2 - 0.5
+    # value 0.5, window 2, margin 2*mu(1) = 2 > 2 - 0.5
     est = weak_radius(_cloud([(0.5, 0.0)]), np.array([[0.0, 0.0]]), np.zeros(2), 1.0, 1.0, window_radius=2.0)
     assert est.censored
 
@@ -183,6 +182,16 @@ def test_weak_dominated_by_strong_random_windows():
     assert checked >= 15
 
 
+def test_global_complex_cell_radii_match_per_cell_loop():
+    P = sample_poisson_homogeneous(2.0, Box((-2.0, -2.0), (2.0, 2.0)), RngSeed(8, 0))
+    Q = np.array([[0.1, -0.1], [0.4, 0.2]])
+    G = _GlobalComplex(P, Q, np.zeros(2), "cech", r_max=0.6, q_max=3)
+    assert set(G.C.dims.tolist()) == {0, 1, 2, 3}
+    dist = G.point_dist
+    assert np.array_equal(G.cell_ball, [dist[list(v)].max() for v in G.C.verts])
+    assert np.array_equal(G.cell_uses_q, [any(i >= P.n for i in v) for v in G.C.verts])
+
+
 # -- swap differences -------------------------------------------------------
 
 
@@ -249,7 +258,7 @@ def test_run_radius_jobs_json():
         {"mode": "weak", "seed": 21, "stream": 0, "lambda": 1.0, "window_radius": 5.0, "r": 0.5, "s": 0.7},
         {"mode": "strong", "seed": 21, "stream": 1, "lambda": 1.0, "window_radius": 5.0, "r": 0.5, "q": 0},
     ]
-    out = run_radius_jobs_json(json.dumps(jobs))
+    out = radius_rows_to_csv(run_radius_jobs(jobs))
     lines = out.splitlines()
     assert lines[0] == "z,r,s,value,censored"
     assert len(lines) == 3
