@@ -1,11 +1,12 @@
 """Persistence over F2: column reduction, rank queries, and independent oracles.
 
-Chains are bitmask integers (bit i = cell i in the complex's stored order), so
-all linear algebra is XOR on Python ints.  `Echelon` is the one pivot-table
-kernel: `reduce` and the stabilization radii feed it.  The standard reduction
-and the clearing variant must produce identical diagrams;
-`persistent_betti_direct` recomputes ranks by its own dense elimination and
-serves as the independent oracle.
+Chains are bitmask integers, so all linear algebra is XOR on Python ints.
+`boundary_masks` and the oracle index chains by the whole complex (bit i =
+cell i in the stored order); `reduce` works on coboundaries over per-dimension
+ranks (see `_facet_ranks`).  `Echelon` is the one pivot-table kernel: `reduce`
+and the stabilization radii feed it.  `persistent_betti_direct` recomputes
+ranks by its own dense elimination over `boundary_masks`, sharing neither
+facet code nor elimination with `reduce`, and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .filtration import FilteredComplex, close_pairs, mu
+from .filtration import FilteredComplex, _lookup, close_pairs, mu
 from .point_process import DomainError, PointCloud, csv_text
 
 ORACLE_CELL_CAP = 5000
@@ -135,55 +137,98 @@ def boundary_masks(C: FilteredComplex) -> list[int]:
     return masks
 
 
-def reduce(C: FilteredComplex, clearing: bool = False) -> PersistenceDiagram:
-    """Standard left-to-right column reduction of the boundary matrix over F2."""
-    masks = boundary_masks(C)
-    n = C.n_cells
-    insert = Echelon().insert
-    death_of: dict[int, int] = {}  # birth cell (a low) -> death cell
+def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per dimension k <= top: the stored positions of the k-cells, ascending,
+    and (for k >= 1) an m_k x (k + 1) array whose row b holds the ranks among
+    the (k-1)-cells of the facets of the k-cell of rank b.  A rank is a
+    position within one dimension, in the complex's stored order."""
+    sizes = C.dims + 1
+    flat = np.fromiter(chain.from_iterable(C.verts), dtype=np.intp, count=int(sizes.sum()))
+    start = np.cumsum(sizes) - sizes
+    cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
+    rows = [flat[start[idx][:, None] + np.arange(k + 1)] for k, idx in enumerate(cells)]
+    # `_lookup` keys a vertex by its id and a higher simplex by its position in
+    # the lexicographic order of its dimension; to_rank maps either to a rank
+    n = int(flat.max(initial=-1)) + 1
+    to_rank = [np.zeros(n, dtype=np.intp)]
+    to_rank[0][rows[0][:, 0]] = np.arange(len(cells[0]))
+    codes: list = [None]
+    facets: list = [None]
+    for k in range(1, top + 1):
+        lex = np.lexsort(rows[k].T[::-1])
+        sorted_rows = rows[k][lex]
+        codes.append(_lookup(codes, n, sorted_rows[:, :k]) * n + sorted_rows[:, k])
+        to_rank.append(lex)
+        sub = [np.delete(rows[k], c, axis=1) for c in range(k + 1)]
+        facets.append(np.column_stack([to_rank[k - 1][_lookup(codes, n, f)] for f in sub]))
+    return cells, facets
 
-    if clearing:
-        # top dimension first: a cell that is already some column's low is
-        # positive, so its own column would reduce to zero and is skipped
-        dims = C.dims.tolist()
-        order = [j for q in range(int(C.dims.max(initial=0)), 0, -1) for j in range(n) if dims[j] == q]
-    else:
-        # every low precedes its column, so no column is skipped
-        order = range(n)
-    for j in order:
-        if j in death_of:
-            continue
-        low = insert(masks[j])
-        if low >= 0:
-            death_of[low] = j
 
-    qs, births, deaths = [], [], []
-    killed = set(death_of.values())
-    for i in range(n):
-        if i in killed:
-            continue  # negative cell: kills a class, creates none
-        q = int(C.dims[i])
-        if q == C.q_max and C.q_max > 0:
-            # deaths in the top dimension are unobservable at this cap
-            continue
-        j = death_of.get(i)
-        qs.append(q)
-        births.append(float(C.times[i]))
-        deaths.append(math.inf if j is None else float(C.times[j]))
+def reduce(C: FilteredComplex) -> PersistenceDiagram:
+    """Persistent cohomology with clearing over F2.
+
+    Dimension by dimension from k = 0, the coboundaries of the k-cells enter
+    one echelon in reverse stored order, with the cofacet of rank b among the
+    m (k+1)-cells as bit m - 1 - b, so a column's low is its earliest cofacet.
+    This reduces the anti-transpose of the boundary matrix, which keeps the
+    rank of every lower-left submatrix and hence gives the pairs of the
+    left-to-right boundary reduction.  A pivot pairs its birth k-cell with the
+    death (k+1)-cell of its low.  A k-cell that was a death in dimension k - 1
+    has a coboundary that can only reduce to zero and is skipped (clearing),
+    and no column of dimension q_max is formed, since its classes are dropped.
+    """
+    ends = np.full(C.n_cells, math.inf)  # death time of the class each cell creates
+    killed = np.zeros(C.n_cells, dtype=bool)
+    top = min(int(C.dims.max(initial=0)), C.q_max)
+    if top > 0:
+        cells, facets = _facet_ranks(C, top)
+        for k in range(top):
+            # cofacets of each k-cell as a CSR list, ascending in rank
+            width = len(cells[k + 1])
+            by_facet = facets[k + 1].ravel()
+            cofacet = np.argsort(by_facet, kind="stable") // (k + 2)
+            bits = (width - 1 - cofacet).tolist()
+            ptr = np.concatenate([[0], np.cumsum(np.bincount(by_facet, minlength=len(cells[k])))]).tolist()
+            insert = Echelon().insert
+            births, deaths = [], []
+            for a in np.flatnonzero(~killed[cells[k]])[::-1].tolist():
+                column = 0
+                for bit in bits[ptr[a]:ptr[a + 1]]:
+                    column |= 1 << bit
+                low = insert(column)
+                if low >= 0:
+                    births.append(a)
+                    deaths.append(width - 1 - low)
+            dead = cells[k + 1][deaths]
+            ends[cells[k][births]] = C.times[dead]
+            killed[dead] = True
+
+    keep = ~killed  # a death kills a class and creates none
+    if C.q_max > 0:
+        # deaths in the top dimension are unobservable at this cap
+        keep &= C.dims != C.q_max
     return PersistenceDiagram(
-        np.asarray(qs, dtype=int),
-        np.asarray(births),
-        np.asarray(deaths),
+        np.asarray(C.dims[keep], dtype=int),
+        np.asarray(C.times[keep], dtype=float),
+        ends[keep],
         C.kind,
         C.q_max,
         C.r_max,
     )
 
 
+def _check_caps(query: RankQuery, q_max: int, r_max: float):
+    """Reject a query the capped complex cannot answer: s past r_max, or q at a
+    q_max > 0 (no (q+1)-cells record its deaths) or above it."""
+    if query.s > r_max:
+        raise CapError(f"query s={query.s} beyond the cap r_max={r_max}")
+    if query.q > q_max or query.q == q_max > 0:
+        raise CapError(f"query q={query.q} needs q < q_max={q_max}")
+
+
 def persistent_betti(D: PersistenceDiagram, query: RankQuery) -> int:
     """Points of the diagram in the rectangle [0, r] x (s, inf]."""
-    if query.s > D.r_max:
-        raise CapError(f"query s={query.s} beyond the cap r_max={D.r_max}")
+    _check_caps(query, D.q_max, D.r_max)
     return int(np.count_nonzero((D.qs == query.q) & (D.births <= query.r) & (D.deaths > query.s)))
 
 
@@ -237,8 +282,7 @@ def persistent_betti_direct(C: FilteredComplex, query: RankQuery) -> int:
     """
     if C.n_cells > ORACLE_CELL_CAP:
         raise SizeError(f"oracle restricted to <= {ORACLE_CELL_CAP} cells")
-    if query.s > C.r_max:
-        raise CapError(f"query s={query.s} beyond the cap r_max={C.r_max}")
+    _check_caps(query, C.q_max, C.r_max)
     q, r, s = query.q, query.r, query.s
     masks = boundary_masks(C)
 

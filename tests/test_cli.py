@@ -80,7 +80,7 @@ def test_persist_square_matches_module_oracle(tmp_path):
     out = tmp_path / "out"
     assert main(["persist", "--config", cfg, "--out", str(out)]) == 0
 
-    D = diagram_from_csv((out / "diagram.csv").read_text())
+    D = diagram_from_csv((out / "diagram.csv").read_text(), q_max=2)
     cloud = PointCloud(np.asarray(SQUARE), Box((-1.0, -1.0), (2.0, 2.0)))
     oracle = reduce(build(cloud, "rips", r_max=2.0, q_max=2))
     assert (out / "diagram.csv").read_text() == oracle.to_csv()
@@ -89,6 +89,13 @@ def test_persist_square_matches_module_oracle(tmp_path):
     lines = (out / "queries.csv").read_text().splitlines()
     assert lines[0] == "q,r,s,betti"
     assert lines[1].split(",")[-1] == "1"
+
+
+def test_persist_query_at_q_max_is_config_error(tmp_path):
+    # at q_max = 1 the square's 1-cycle has no triangle to die at sqrt 2, so
+    # beta_1 at (1.2, 1.2) cannot be read from the complex
+    cfg = _square_persist_cfg(tmp_path, q_max=1, queries=[[1, 1.2, 1.2]])
+    assert main(["persist", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_manifest_inventory_hashes(tmp_path):
@@ -246,7 +253,7 @@ def test_diagram_plot_query_rectangle(tmp_path):
     svg = (out / "diagram.svg").read_text()
     assert "#ffcccc" in svg
 
-    D = diagram_from_csv((out / "diagram.csv").read_text())
+    D = diagram_from_csv((out / "diagram.csv").read_text(), q_max=2)
     inside = sum(
         1
         for q, b, dth in zip(D.qs, D.births, D.deaths)

@@ -6,6 +6,7 @@ import pytest
 from pslab.filtration import build, build_cech, build_rips, count_new_simplices
 from pslab.persistence import (
     CapError,
+    Echelon,
     RankQuery,
     boundary_masks,
     connected_component_count,
@@ -45,16 +46,61 @@ def test_square_cech_diagram():
     assert h1 == pytest.approx([(0.5, RT2 / 2.0)])
 
 
-def test_clearing_agrees_bit_for_bit():
+def _homology_reduction(C):
+    """The left-to-right reduction of the boundary matrix that `reduce`
+    replaced, kept here as the reference: (qs, births, deaths)."""
+    pivots, death_of = {}, {}
+    for j, col in enumerate(boundary_masks(C)):
+        while col:
+            low = col.bit_length() - 1
+            if low not in pivots:
+                pivots[low], death_of[low] = col, j
+                break
+            col ^= pivots[low]
+    killed = set(death_of.values())
+    keep = [i for i in range(C.n_cells) if i not in killed and not (C.dims[i] == C.q_max > 0)]
+    qs = np.asarray([int(C.dims[i]) for i in keep], dtype=int)
+    births = np.asarray([float(C.times[i]) for i in keep])
+    deaths = np.asarray([math.inf if i not in death_of else float(C.times[death_of[i]]) for i in keep])
+    return qs, births, deaths
+
+
+def _clouds(rng, d):
+    """Uniform points, points on the half-lattice (many tied times), and
+    duplicated points (edges at time 0)."""
+    yield rng.random((9, d))
+    yield rng.integers(0, 3, (9, d)) / 2.0
+    yield rng.random((5, d))[rng.integers(0, 5, 9)]
+
+
+def test_cohomology_matches_homology_reduction():
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        P = PointCloud(rng.random((10, 2)), unit_box(2))
+    clouds = [PointCloud(np.empty((0, 2)), unit_box(2)), PointCloud(np.array([[0.5, 0.5]]), unit_box(2))]
+    for d in (1, 2, 3):
+        clouds += [PointCloud(pts, unit_box(d)) for pts in _clouds(rng, d)]
+    for P in clouds:
         for kind in ("rips", "cech"):
-            C = build(P, kind, r_max=1.0, q_max=2)
-            D1, D2 = reduce(C, clearing=False), reduce(C, clearing=True)
-            assert np.array_equal(D1.qs, D2.qs)
-            assert np.array_equal(D1.births, D2.births)
-            assert np.array_equal(D1.deaths, D2.deaths)
+            for q_max in range(4):
+                for r_max in (0.0, 0.4, 0.8, 1.5):
+                    C = build(P, kind, r_max=r_max, q_max=q_max)
+                    D = reduce(C)
+                    for got, want in zip((D.qs, D.births, D.deaths), _homology_reduction(C)):
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want)
+
+
+def test_reduce_never_inserts_a_top_dimension_column(monkeypatch):
+    C = build_rips(PointCloud(np.random.default_rng(39).random((12, 2)), unit_box(2)), r_max=1.0, q_max=2)
+    assert np.count_nonzero(C.dims == 2) > 0
+    columns = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, v: columns.append(v) or insert(self, v))
+    D = reduce(C)
+    # one coboundary per vertex and per edge, less the edges that were deaths
+    # of vertex classes (clearing); none for a triangle
+    cleared = np.count_nonzero((D.qs == 0) & np.isfinite(D.deaths))
+    assert cleared > 0
+    assert len(columns) == np.count_nonzero(C.dims < 2) - cleared
 
 
 def test_boundary_of_boundary_vanishes():
@@ -98,7 +144,25 @@ def test_direct_oracle_square():
     C = build_rips(SQUARE, r_max=2.0, q_max=2)
     assert persistent_betti_direct(C, RankQuery(1, 1.0, 1.2)) == 1
     empty = build_rips(PointCloud(np.array([[0.0, 0.0]]), unit_box(2)), r_max=1.0, q_max=1)
-    assert persistent_betti_direct(empty, RankQuery(1, 0.5, 0.5)) == 0
+    with pytest.raises(CapError):
+        persistent_betti_direct(empty, RankQuery(1, 0.5, 0.5))
+
+
+def test_queries_at_the_q_max_cap_raise():
+    # the 4-cycle is born at 1 and dies at sqrt 2, but at q_max = 1 the complex
+    # holds no triangle to record that death
+    query = RankQuery(1, 1.2, 1.2)
+    capped = build_rips(SQUARE, r_max=2.0, q_max=1)
+    with pytest.raises(CapError):
+        reduce(capped).persistent_betti(query)
+    with pytest.raises(CapError):
+        persistent_betti_direct(capped, query)
+    full = build_rips(SQUARE, r_max=2.0, q_max=2)
+    assert reduce(full).persistent_betti(query) == persistent_betti_direct(full, query) == 1
+    with pytest.raises(CapError):
+        reduce(full).persistent_betti(RankQuery(3, 1.2, 1.2))
+    with pytest.raises(CapError):
+        persistent_betti_direct(full, RankQuery(3, 1.2, 1.2))
 
 
 def test_oracle_cross_check_random_clouds():
