@@ -115,9 +115,6 @@ class FilteredComplex:
     def n_cells(self) -> int:
         return len(self.verts)
 
-    def cell_index(self) -> dict[tuple[int, ...], int]:
-        return {v: i for i, v in enumerate(self.verts)}
-
     def event_times(self) -> np.ndarray:
         return np.unique(self.times)
 

@@ -1,12 +1,12 @@
 """Persistence over F2: column reduction, rank queries, and independent oracles.
 
 Chains are bitmask integers, so all linear algebra is XOR on Python ints.
-`boundary_masks` and the oracle index chains by the whole complex (bit i =
-cell i in the stored order); `reduce` works on coboundaries over per-dimension
-ranks (see `_facet_ranks`).  `Echelon` is the one pivot-table kernel: `reduce`
-and the stabilization radii feed it.  `persistent_betti_direct` recomputes
-ranks by its own dense elimination over `boundary_masks`, sharing neither
-facet code nor elimination with `reduce`, and serves as the independent oracle.
+`reduce` (persistent cohomology with clearing) and the stabilization radii
+index a chain of k-cells by their ranks within dimension k, and find facets
+through `_facet_ranks`.  `Echelon` is the one pivot-table kernel they feed.
+`persistent_betti_direct` is the independent oracle: it recomputes ranks by
+its own dense elimination over `boundary_masks`, its own facet code, which
+indexes chains by the whole complex (bit i = cell i in the stored order).
 """
 
 from __future__ import annotations
@@ -122,26 +122,12 @@ class UnionFind:
         return ra, rb
 
 
-def boundary_masks(C: FilteredComplex) -> list[int]:
-    """Column i = XOR of 1<<j over the facets j of cell i."""
-    idx = C.cell_index()
-    masks: list[int] = []
-    for v in C.verts:
-        if len(v) == 1:
-            masks.append(0)
-            continue
-        m = 0
-        for k in range(len(v)):
-            m |= 1 << idx[v[:k] + v[k + 1:]]
-        masks.append(m)
-    return masks
-
-
-def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per dimension k <= top: the stored positions of the k-cells, ascending,
-    and (for k >= 1) an m_k x (k + 1) array whose row b holds the ranks among
-    the (k-1)-cells of the facets of the k-cell of rank b.  A rank is a
-    position within one dimension, in the complex's stored order."""
+def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per dimension k <= top: the stored positions of the k-cells, ascending;
+    their m_k x (k + 1) vertex rows, each ascending; and (for k >= 1) an
+    m_k x (k + 1) array whose row b holds the ranks among the (k-1)-cells of
+    the facets of the k-cell of rank b.  A rank is a position within one
+    dimension, in the complex's stored order."""
     sizes = C.dims + 1
     flat = np.fromiter(chain.from_iterable(C.verts), dtype=np.intp, count=int(sizes.sum()))
     start = np.cumsum(sizes) - sizes
@@ -161,7 +147,7 @@ def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[n
         to_rank.append(lex)
         sub = [np.delete(rows[k], c, axis=1) for c in range(k + 1)]
         facets.append(np.column_stack([to_rank[k - 1][_lookup(codes, n, f)] for f in sub]))
-    return cells, facets
+    return cells, rows, facets
 
 
 def reduce(C: FilteredComplex) -> PersistenceDiagram:
@@ -181,7 +167,7 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     killed = np.zeros(C.n_cells, dtype=bool)
     top = min(int(C.dims.max(initial=0)), C.q_max)
     if top > 0:
-        cells, facets = _facet_ranks(C, top)
+        cells, _, facets = _facet_ranks(C, top)
         for k in range(top):
             # cofacets of each k-cell as a CSR list, ascending in rank
             width = len(cells[k + 1])
@@ -235,8 +221,25 @@ def persistent_betti(D: PersistenceDiagram, query: RankQuery) -> int:
 # ---------------------------------------------------------------------------
 # Dense F2 oracle
 # ---------------------------------------------------------------------------
-# `_rank` and `_nullspace_combos` repeat the pivot loop of `Echelon` on
-# purpose: the judge must not share the code it judges.
+# `boundary_masks` is the oracle's own facet code, and `_rank` and
+# `_nullspace_combos` repeat the pivot loop of `Echelon` on purpose: the judge
+# must not share the code it judges.
+
+
+def boundary_masks(C: FilteredComplex) -> list[int]:
+    """Column i = XOR of 1<<j over the facets j of cell i, with j a position in
+    the whole complex's stored order."""
+    idx = {v: i for i, v in enumerate(C.verts)}
+    masks: list[int] = []
+    for v in C.verts:
+        if len(v) == 1:
+            masks.append(0)
+            continue
+        m = 0
+        for k in range(len(v)):
+            m |= 1 << idx[v[:k] + v[k + 1:]]
+        masks.append(m)
+    return masks
 
 
 def _rank(vectors: list[int]) -> int:

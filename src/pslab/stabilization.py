@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtration import build, mu
-from .persistence import Echelon, RankQuery, UnionFind, boundary_masks, reduce
+# boundary_masks is unused here; perfbench/tracer.py patches this attribute
+from .persistence import Echelon, RankQuery, UnionFind, _facet_ranks, boundary_masks, reduce  # noqa: F401
 from .point_process import (
     BallWindow,
     Box,
@@ -144,16 +145,25 @@ class _GlobalComplex:
     def __init__(self, P: PointCloud, Q: np.ndarray, z: np.ndarray, kind: str, r_max: float, q_max: int):
         pts = np.vstack([P.points, Q]) if P.n else Q
         merged = PointCloud(pts, P.window)
-        self.C = build(merged, kind, r_max=r_max, q_max=q_max)
-        self.masks = boundary_masks(self.C)
+        C = self.C = build(merged, kind, r_max=r_max, q_max=q_max)
         dist = np.linalg.norm(pts - z, axis=1)
         self.point_dist = dist
-        # vertex rows padded with their own last vertex; tuples are ascending,
-        # so the last column holds each cell's largest index
-        width = q_max + 1
-        rows = np.array([v + v[-1:] * (width - len(v)) for v in self.C.verts], dtype=np.intp).reshape(-1, width)
-        self.cell_ball = dist[rows].max(axis=1)
-        self.cell_uses_q = rows[:, -1] >= P.n
+        # a k-cell's boundary is an int over the ranks of its facets among the
+        # (k-1)-cells, as in `reduce`; vertex rows are ascending, so the last
+        # column holds each cell's largest index
+        self.cells, rows, facets = _facet_ranks(C, int(C.dims.max(initial=0)))
+        self.cell_ball = np.zeros(C.n_cells)
+        self.cell_uses_q = np.zeros(C.n_cells, dtype=bool)
+        for cells, rows_k in zip(self.cells, rows):
+            self.cell_ball[cells] = dist[rows_k].max(axis=1)
+            self.cell_uses_q[cells] = rows_k[:, -1] >= P.n
+        self.masks = [0] * C.n_cells
+        for cells, facets_k in zip(self.cells[1:], facets[1:]):
+            for i, row in zip(cells.tolist(), facets_k.tolist()):
+                m = 0
+                for f in row:
+                    m |= 1 << f
+                self.masks[i] = m
 
     def pair_counts(self, radii: np.ndarray, with_q: bool, r: float, d: int):
         """dim Z_q(K_r) and dim(Z_q(K_r) ^ B_q(K_s)) for q < d, on the subcomplex
@@ -167,12 +177,14 @@ class _GlobalComplex:
         column sets only grow with a, so each cell enters an echelon basis once.
         """
         C, masks = self.C, self.masks
+        # late[k]: the k-cells born after r, as an int over their ranks
+        late = [int.from_bytes(np.packbits(C.times[cells] > r, bitorder="little").tobytes(), "little")
+                for cells in self.cells]
         keep = self.cell_ball <= radii[-1] if len(radii) else np.zeros(C.n_cells, dtype=bool)
         if not with_q:
             keep = keep & ~self.cell_uses_q
         cells = np.flatnonzero(keep)
         cells = cells[np.argsort(self.cell_ball[cells], kind="stable")]
-        late = int.from_bytes(np.packbits(C.times > r, bitorder="little").tobytes(), "little")
         born = [Echelon() for _ in range(d)]  # d_q columns of cells born by r, q >= 1
         alive = [Echelon() for _ in range(d)]  # d_{q+1} columns
         late_rows = [Echelon() for _ in range(d)]  # d_{q+1} columns, rows born after r
@@ -194,7 +206,7 @@ class _GlobalComplex:
                         rank_born[q] += born[q].insert(masks[i]) >= 0
                 if 1 <= q <= d:
                     rank_alive[q - 1] += alive[q - 1].insert(masks[i]) >= 0
-                    rank_late[q - 1] += late_rows[q - 1].insert(masks[i] & late) >= 0
+                    rank_late[q - 1] += late_rows[q - 1].insert(masks[i] & late[q - 1]) >= 0
             dim_z[row] = n_born - rank_born
             dim_zb[row] = rank_alive - rank_late
         return dim_z, dim_zb

@@ -188,7 +188,7 @@ def test_filtration_monotone_and_sandwich():
         P = PointCloud(rng.random((12, 2)), unit_box(2))
         for kind in ("rips", "cech"):
             C = build(P, kind, r_max=0.8, q_max=2)
-            idx = C.cell_index()
+            idx = {v: i for i, v in enumerate(C.verts)}
             jung = math.sqrt(2.0 / (2.0 * 3.0))
             for i in range(C.n_cells):
                 v = C.verts[i]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pslab.filtration import build, mu
-from pslab.persistence import RankQuery, reduce
+from pslab import stabilization
+from pslab.persistence import Echelon, RankQuery, boundary_masks, reduce
 from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_poisson_homogeneous
 from pslab.stabilization import (
     AddOneQuery,
@@ -190,6 +191,87 @@ def test_global_complex_cell_radii_match_per_cell_loop():
     dist = G.point_dist
     assert np.array_equal(G.cell_ball, [dist[list(v)].max() for v in G.C.verts])
     assert np.array_equal(G.cell_uses_q, [any(i >= P.n for i in v) for v in G.C.verts])
+
+
+class _WholeComplexMasks(_GlobalComplex):
+    """The radius layer's complex as it was before it took its facets from
+    `_facet_ranks`: boundary columns are bitmasks over the whole complex
+    (`boundary_masks`), and `pair_counts` masks rows with one int as wide as
+    the complex.  `strong_radius_estimate` run on it does its positivity test
+    on these masks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.masks = boundary_masks(self.C)
+
+    def pair_counts(self, radii, with_q, r, d):
+        C, masks = self.C, self.masks
+        keep = self.cell_ball <= radii[-1] if len(radii) else np.zeros(C.n_cells, dtype=bool)
+        if not with_q:
+            keep = keep & ~self.cell_uses_q
+        cells = np.flatnonzero(keep)
+        cells = cells[np.argsort(self.cell_ball[cells], kind="stable")]
+        late = int.from_bytes(np.packbits(C.times > r, bitorder="little").tobytes(), "little")
+        born = [Echelon() for _ in range(d)]
+        alive = [Echelon() for _ in range(d)]
+        late_rows = [Echelon() for _ in range(d)]
+        n_born = np.zeros(d, dtype=int)
+        rank_born = np.zeros(d, dtype=int)
+        rank_alive = np.zeros(d, dtype=int)
+        rank_late = np.zeros(d, dtype=int)
+        dim_z = np.zeros((len(radii), d), dtype=int)
+        dim_zb = np.zeros((len(radii), d), dtype=int)
+        ptr = 0
+        for row, a in enumerate(radii):
+            while ptr < len(cells) and self.cell_ball[cells[ptr]] <= a:
+                i = int(cells[ptr])
+                ptr += 1
+                q = int(C.dims[i])
+                if q < d and C.times[i] <= r:
+                    n_born[q] += 1
+                    if q:
+                        rank_born[q] += born[q].insert(masks[i]) >= 0
+                if 1 <= q <= d:
+                    rank_alive[q - 1] += alive[q - 1].insert(masks[i]) >= 0
+                    rank_late[q - 1] += late_rows[q - 1].insert(masks[i] & late) >= 0
+            dim_z[row] = n_born - rank_born
+            dim_zb[row] = rank_alive - rank_late
+        return dim_z, dim_zb
+
+
+def _radius_layer(P, Q, r, s, kind, w):
+    z = np.zeros(P.d)
+    est, trace = weak_radius(P, Q, z, r, s, kind=kind, window_radius=w, return_trace=True)
+    strong = [strong_radius_estimate(P, Q, z, t, q, kind, window_radius=w) for t in (r, s) for q in range(P.d)]
+    return est, trace, strong
+
+
+def test_radius_layer_matches_whole_complex_masks(monkeypatch):
+    """Per-dimension ranks relabel the bits of each boundary column
+    injectively, so D1, D2, the weak radii and the strong estimates must be
+    exactly those of the whole-complex masks."""
+    rng = np.random.default_rng(61)
+    for d, w, caps in ((2, 2.5, {"rips": (0.4, 0.6), "cech": (0.25, 0.4)}),
+                       (3, 1.8, {"rips": (0.5, 0.7), "cech": (0.3, 0.4)})):
+        box = Box((-w,) * d, (w,) * d)
+        for kind, (r, s) in caps.items():
+            for _ in range(3):
+                # half the points on a lattice of spacing 0.25 (ties), and a
+                # few of them repeated (duplicate points)
+                uniform = rng.uniform(-w, w, (rng.poisson((2.0 * w) ** d), d))
+                lattice = rng.integers(-4 * w, 4 * w + 1, (len(uniform), d)) / 4.0
+                pts = np.vstack([uniform, lattice, lattice[: len(lattice) // 8]])
+                P = PointCloud(pts, box)
+                Q = np.array([[0.0] * d, [0.25] + [0.0] * (d - 1)])
+                new = _radius_layer(P, Q, r, s, kind, w)
+                with monkeypatch.context() as m:
+                    m.setattr(stabilization, "_GlobalComplex", _WholeComplexMasks)
+                    old = _radius_layer(P, Q, r, s, kind, w)
+                assert new[0] == old[0]  # value, censoring flag and margin
+                assert np.array_equal(new[1].radii, old[1].radii)
+                assert np.array_equal(new[1].d1, old[1].d1)
+                assert np.array_equal(new[1].d2, old[1].d2)
+                assert new[2] == old[2]
 
 
 # -- swap differences -------------------------------------------------------
