@@ -186,8 +186,8 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     times = [np.zeros(n)]
     codes = [np.arange(n, dtype=np.intp)]
     if q_max >= 1 and r_max > 0:
-        edges, diam = close_pairs(pts, cutoff)
-        t = diam if kind == "rips" else diam / 2.0
+        edges, lengths = close_pairs(pts, cutoff)
+        t = lengths if kind == "rips" else lengths / 2.0
         keep = t <= r_max
         # forward adjacency of the cutoff graph: the rows of `edges` grouped by
         # their first vertex, each group ascending in the second
@@ -196,10 +196,11 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
         simplices.append(edges[keep])
         times.append(t[keep])
         codes.append(edge_codes[keep])
-        diam = diam[keep]
+        diam = lengths[keep]
         # Clique expansion: a k-simplex extends its prefix face by a common
         # forward neighbor of all its vertices; the diameter is tracked along
-        # the way from the row-wise norms of the new edges.
+        # the way from the close-pair lengths of the new edges, at the edge
+        # positions the adjacency check finds.
         for k in range(2, q_max + 1):
             prev = simplices[-1]
             if not len(prev):
@@ -209,16 +210,16 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             counts = row_end[first] - start
             owner = np.repeat(np.arange(len(prev)), counts)
             offset = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-            w = edges[np.repeat(start, counts) + offset, 1]
+            pos = np.repeat(start, counts) + offset
+            w = edges[pos, 1]
+            new_diam = np.maximum(diam[owner], lengths[pos])
             ok = np.ones(len(w), dtype=bool)
             for c in range(1, k):
                 key = prev[owner, c] * n + w
                 pos = np.minimum(np.searchsorted(edge_codes, key), len(edge_codes) - 1)
                 ok &= edge_codes[pos] == key
-            owner, w = owner[ok], w[ok]
-            new_diam = diam[owner]
-            for c in range(k):
-                new_diam = np.maximum(new_diam, np.linalg.norm(pts[prev[owner, c]] - pts[w], axis=1))
+                new_diam = np.maximum(new_diam, lengths[pos])
+            owner, w, new_diam = owner[ok], w[ok], new_diam[ok]
             cells = np.column_stack([prev[owner], w])
             if kind == "rips":
                 t = new_diam
@@ -230,8 +231,9 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             codes.append(owner[keep] * n + w[keep])
             diam = new_diam[keep]
 
-    # enforce exact face monotonicity: the scalar and vectorized distance
-    # paths can disagree by 1 ulp, which would break the filtration property
+    # enforce exact face monotonicity: a Cech radius from `miniball` and the
+    # half close-pair lengths of its edges can disagree by 1 ulp, which would
+    # break the filtration property
     for k in range(2, len(simplices)):
         for c in range(k + 1):
             facets = np.delete(simplices[k], c, axis=1)

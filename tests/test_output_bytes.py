@@ -84,9 +84,9 @@ GOLDEN = {
     "sample-poisson/cloud.json": "655d6dbcee3e7357316950f1b2527bc015cf09c2167c2d7bc6277e2ea3aa3a96",
     "sample-binomial/cloud.csv": "f6e82e0388dce71ffe98b3ee185865a5d795ab38079bbe3bc175a41650dc4635",
     "sample-binomial/cloud.json": "12a63e77cd4ee8d5875ab494ae0027c6ce839fb0338bbed54a14573d57c1ac2a",
-    "complex-rips/complex.txt": "a3b430b1735a434cad6d3e94e43c99418cdfd0f057452c762456467f7b017cfe",
+    "complex-rips/complex.txt": "6271e91ee3031dcc9f248e14808300337278704fb6f19d900ec7b3664425a0df",
     "complex-cech/complex.txt": "e7a427ab95715989cede9945119011d28dc96734387ca8701c0b8bcf5c2c6228",
-    "persist/diagram.csv": "57306d065f2581ff2e7aa4de65b6b8b7772fa188e9b19f8f9ab8ed9c49350e36",
+    "persist/diagram.csv": "64916ca9bd9cd4b47767160ceb67b4d5a0102ceb0761ac91c916a2362ca309f1",
     "persist/queries.csv": "7343a0cb801d768a42d8b2d17bf832c7bff6eaced3bc31d754cbf69c96732d91",
     "radius/radius.csv": "9ef583803e965ce7f27eaf55e86e18082463fccb683812cb424cb4c9c0f07ba2",
     "alpha/alpha.json": "dfdfe6d076ffef797a242c43176b2c3c6396cf8f02a7d9181decffbd5245e85d",
