@@ -160,6 +160,8 @@ def estimate_alpha(
     homogeneous Poisson window with intensity kappa(X)."""
     if r > s:
         raise DomainError("alpha needs r <= s")
+    if reps < 1:
+        raise DomainError("alpha needs at least one replicate")
     if window_radius < 3.0 * mu(kind, s):
         raise DomainError("window radius below a*(s) + 2 mu(s)")
     d = density.d
@@ -452,6 +454,8 @@ def radius_tail_experiment(
 ) -> TailTable:
     """Empirical survival of the weak radius and of the strong-radius
     surrogate; censored replicates count as exceedances (conservative)."""
+    if reps < 1:
+        raise DomainError("radius tails need at least one replicate")
     L_grid = sorted(float(L) for L in L_grid)
     max_r = max(float(r) for r in r_grid)
     if window < max(L_grid) + 2.0 * mu(kind, max_r):

@@ -204,11 +204,12 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
 
 
 def _check_caps(query: RankQuery, q_max: int, r_max: float):
-    """Reject a query the capped complex cannot answer: s past r_max, or q at a
-    q_max > 0 (no (q+1)-cells record its deaths) or above it."""
+    """Reject a query the capped complex cannot answer: s past r_max, q above
+    q_max, or q at q_max, where no (q+1)-cells record its deaths; at
+    q == q_max == 0 only s = 0 is answerable, since nothing dies at time 0."""
     if query.s > r_max:
         raise CapError(f"query s={query.s} beyond the cap r_max={r_max}")
-    if query.q > q_max or query.q == q_max > 0:
+    if query.q > q_max or (query.q == q_max and (q_max > 0 or query.s > 0)):
         raise CapError(f"query q={query.q} needs q < q_max={q_max}")
 
 

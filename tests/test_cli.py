@@ -98,6 +98,14 @@ def test_persist_query_at_q_max_is_config_error(tmp_path):
     assert main(["persist", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_persist_q0_query_at_q_max_0_is_config_error(tmp_path):
+    # no edges at q_max = 0, so beta_0 at s = 1 cannot be read from the complex
+    payload = {"points": [[0.0, 0.0], [0.5, 0.0]], "window": WINDOW, "kind": "rips", "r_max": 1.0, "q_max": 0,
+               "queries": [[0, 1.0, 1.0]]}
+    cfg = _cfg(tmp_path, "persist.json", payload)
+    assert main(["persist", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_manifest_inventory_hashes(tmp_path):
     cfg = _square_persist_cfg(tmp_path)
     out = tmp_path / "out"
@@ -173,6 +181,15 @@ def test_alpha_command_degenerate(tmp_path):
     assert payload["censored_fraction"] == 0.0
 
 
+def test_alpha_zero_replicates_is_config_error(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        "a.json",
+        {"r": 0.0, "s": 0.0, "q": 0, "density": {"kind": "constant", "d": 2}, "window_radius": 3.0, "reps": 0},
+    )
+    assert main(["alpha", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 # -- clt ----------------------------------------------------------------------
 
 
@@ -226,6 +243,15 @@ def test_tails_command_and_flat_curve(tmp_path):
     assert all(float(line.split(",")[5]) == 0.0 for line in lines[1:])
     assert main(["report", "--out", str(out)]) == 0
     assert "<svg" in (out / "survival.svg").read_text()
+
+
+def test_tails_zero_replicates_is_config_error(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        "t.json",
+        {"lambda_grid": [1.0], "r_grid": [0.5], "q_list": [0], "L_grid": [0.5, 1.0], "reps": 0, "window": 3.0},
+    )
+    assert main(["tails", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_report_round_trip_byte_identical(tmp_path):

@@ -165,6 +165,22 @@ def test_queries_at_the_q_max_cap_raise():
         persistent_betti_direct(full, RankQuery(3, 1.2, 1.2))
 
 
+def test_q0_queries_at_q_max_0_raise_past_time_0():
+    # two points 0.5 apart merge at 0.5, but at q_max = 0 the complex holds no
+    # edge to record that death, so beta_0^{1,1} (truly 1) cannot be read
+    pair = PointCloud(np.array([[0.0, 0.0], [0.5, 0.0]]), unit_box(2))
+    query = RankQuery(0, 1.0, 1.0)
+    capped = build(pair, "rips", 1.0, 0)
+    with pytest.raises(CapError):
+        reduce(capped).persistent_betti(query)
+    with pytest.raises(CapError):
+        persistent_betti_direct(capped, query)
+    at_zero = RankQuery(0, 0.0, 0.0)
+    assert reduce(capped).persistent_betti(at_zero) == persistent_betti_direct(capped, at_zero) == 2
+    full = build(pair, "rips", 1.0, 1)
+    assert reduce(full).persistent_betti(query) == persistent_betti_direct(full, query) == 1
+
+
 def test_oracle_cross_check_random_clouds():
     rng = np.random.default_rng(32)
     for _ in range(30):
