@@ -194,11 +194,11 @@ def test_global_complex_cell_radii_match_per_cell_loop():
 
 
 class _WholeComplexMasks(_GlobalComplex):
-    """The radius layer's complex as it was before it took its facets from
-    `_facet_ranks`: boundary columns are bitmasks over the whole complex
-    (`boundary_masks`), and `pair_counts` masks rows with one int as wide as
-    the complex.  `strong_radius_estimate` run on it does its positivity test
-    on these masks."""
+    """Reference radius layer with whole-complex facet bits: boundary columns
+    are `boundary_masks` (bit j = cell j in the stored order), and
+    `pair_counts` masks rows with one int as wide as the complex.
+    `strong_radius_estimate` run on it does its positivity test on these
+    masks."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
