@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Subcommands: sample, complex, persist, radius, alpha, clt, tails, report.
-Every command reads a JSON config (--config), honours --seed/--out/--threads
+Every command reads a JSON config (--config), honours --seed/--out
 overrides, writes its outputs plus a manifest with content hashes, and exits
 0 on success, 2 on config errors, 3 on numerical/censoring aborts, 64 on
 usage errors.
@@ -49,7 +49,7 @@ from .stabilization import run_radius_jobs, radius_rows_to_csv
 
 COMMANDS = ("sample", "complex", "persist", "radius", "alpha", "clt", "tails", "report")
 USAGE = (
-    "usage: pslab <command> [--config PATH] [--seed N] [--out DIR] [--threads K]\n"
+    "usage: pslab <command> [--config PATH] [--seed N] [--out DIR]\n"
     f"commands: {', '.join(COMMANDS)}\n"
 )
 
@@ -98,7 +98,7 @@ def _load_cloud(cfg: dict) -> PointCloud:
     return PointCloud(np.asarray(cfg["points"], dtype=float), window)
 
 
-def _cmd_sample(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_sample(cfg: dict, seed: RngSeed, out: str):
     process = cfg["process"]
     if process == "poisson_homogeneous":
         window = window_from_json(cfg["window"])
@@ -117,13 +117,13 @@ def _cmd_sample(cfg: dict, seed: RngSeed, out: str, threads: int):
     _write(out, "cloud.json", cloud.to_json_envelope(seed, density))
 
 
-def _cmd_complex(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_complex(cfg: dict, seed: RngSeed, out: str):
     cloud = _load_cloud(cfg)
     C = build(cloud, cfg.get("kind", "rips"), float(cfg["r_max"]), int(cfg["q_max"]))
     _write(out, "complex.txt", C.to_text())
 
 
-def _cmd_persist(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_persist(cfg: dict, seed: RngSeed, out: str):
     cloud = _load_cloud(cfg)
     C = build(cloud, cfg.get("kind", "rips"), float(cfg["r_max"]), int(cfg["q_max"]))
     D = reduce(C)
@@ -134,7 +134,7 @@ def _cmd_persist(cfg: dict, seed: RngSeed, out: str, threads: int):
         _write(out, "queries.csv", csv_text(["q", "r", "s", "betti"], rows))
 
 
-def _cmd_radius(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_radius(cfg: dict, seed: RngSeed, out: str):
     jobs = cfg["jobs"]
     for i, job in enumerate(jobs):
         job.setdefault("seed", seed.seed)
@@ -142,7 +142,7 @@ def _cmd_radius(cfg: dict, seed: RngSeed, out: str, threads: int):
     _write(out, "radius.csv", radius_rows_to_csv(run_radius_jobs(jobs)))
 
 
-def _cmd_alpha(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_alpha(cfg: dict, seed: RngSeed, out: str):
     est = estimate_alpha(
         float(cfg["r"]),
         float(cfg["s"]),
@@ -152,7 +152,6 @@ def _cmd_alpha(cfg: dict, seed: RngSeed, out: str, threads: int):
         int(cfg["reps"]),
         seed,
         kind=cfg.get("kind", "rips"),
-        threads=threads,
     )
     payload = {
         "r": est.r,
@@ -166,7 +165,7 @@ def _cmd_alpha(cfg: dict, seed: RngSeed, out: str, threads: int):
     _write(out, "alpha.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_clt(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_clt(cfg: dict, seed: RngSeed, out: str):
     config = CltConfig(
         process=cfg["process"],
         density=density_from_json(cfg["density"]),
@@ -179,13 +178,13 @@ def _cmd_clt(cfg: dict, seed: RngSeed, out: str, threads: int):
         r_max=float(cfg["r_max"]),
         q_max=int(cfg["q_max"]),
     )
-    result = run_clt(config, threads=threads)
+    result = run_clt(config)
     _write(out, "replicates.csv", replicates_csv(result))
     _write(out, "covariance.csv", covariance_csv(result))
     _write(out, "scores.csv", scores_csv(result))
 
 
-def _cmd_tails(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_tails(cfg: dict, seed: RngSeed, out: str):
     table = radius_tail_experiment(
         cfg["lambda_grid"],
         cfg["r_grid"],
@@ -196,12 +195,11 @@ def _cmd_tails(cfg: dict, seed: RngSeed, out: str, threads: int):
         seed,
         d=int(cfg.get("d", 2)),
         kind=cfg.get("kind", "rips"),
-        threads=threads,
     )
     _write(out, "tails.csv", table.to_csv())
 
 
-def _cmd_report(cfg: dict, seed: RngSeed, out: str, threads: int):
+def _cmd_report(cfg: dict, seed: RngSeed, out: str):
     if not os.path.isdir(out):
         raise NumericalError(f"result directory {out} does not exist")
     query = tuple(cfg["query"]) if cfg and "query" in cfg else None
@@ -242,7 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    # accepted and ignored: perfbench/run.py and perfbench/selftest.py pass
+    # `--threads 1`, and perfbench/ changes only with the benchmark
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit:
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         seed_val = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         seed = RngSeed(seed_val, int(cfg.get("stream", 0)))
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        HANDLERS[command](cfg, seed, out, max(1, args.threads))
+        HANDLERS[command](cfg, seed, out)
         if command != "report":
             ended = datetime.datetime.now(datetime.timezone.utc).isoformat()
             write_manifest(out, command, cfg, seed_val, started, ended)

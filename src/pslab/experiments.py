@@ -2,17 +2,16 @@
 binomial/Poisson variance relation, de-Poissonization, expectation
 convergence, and radius-tail tables.
 
-Replicates use per-index derived seeds, so results are byte-identical for any
-worker count; aggregation is by replicate index only.
+Replicates run in one loop over the replicate index, and replicate i draws
+only from the seed derived for index i, so no replicate depends on another.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as sps
@@ -50,19 +49,6 @@ class CensoringError(RuntimeError):
 
 class NumericalError(RuntimeError):
     pass
-
-
-def _map_indexed(fn: Callable[[int], object], count: int, threads: int = 1) -> list:
-    """Run fn(0..count-1); results ordered by index regardless of scheduling."""
-    out = [None] * count
-    if threads <= 1:
-        for i in range(count):
-            out[i] = fn(i)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in zip(range(count), pool.map(fn, range(count))):
-            out[i] = res
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +140,6 @@ def estimate_alpha(
     reps: int,
     seed: RngSeed,
     kind: str = "rips",
-    threads: int = 1,
 ) -> AlphaEstimate:
     """alpha(r,s) = E over X ~ kappa of the add-one cost at the origin of a
     homogeneous Poisson window with intensity kappa(X)."""
@@ -181,7 +166,7 @@ def estimate_alpha(
             censored = False
         return cost, censored
 
-    rows = _map_indexed(one, reps, threads)
+    rows = [one(i) for i in range(reps)]
     costs = np.array([c for c, _ in rows], dtype=float)
     censored_frac = float(np.mean([c for _, c in rows]))
     if censored_frac > CENSORING_LIMIT:
@@ -244,18 +229,18 @@ class CltResult:
     elapsed: float
 
 
-def run_clt(config: CltConfig, threads: int = 1) -> CltResult:
+def run_clt(config: CltConfig) -> CltResult:
     t0 = time.time()
     l = len(config.pairs)
     per_n: dict[int, CltPerN] = {}
     for n_idx, n in enumerate(config.n_grid):
         base = config.seed.derive(n_idx)
 
-        def one(rep: int, n=n, base=base):
+        def one(rep: int):
             P = sample_scaled_process(config.process, config.density, n, base.derive(rep))
             return _betti_vector(P, config.q, config.pairs, config.kind, config.r_max)
 
-        betas = np.vstack(_map_indexed(one, config.replicates, threads))
+        betas = np.vstack([one(i) for i in range(config.replicates)])
         std = (betas - betas.mean(axis=0)) / math.sqrt(n)
         cov = (std.T @ std) / (config.replicates - 1)
         cov = (cov + cov.T) / 2.0
@@ -342,19 +327,20 @@ def expectation_convergence(
     reps: int,
     seed: RngSeed,
     kind: str = "rips",
-    threads: int = 1,
 ) -> list[dict]:
     """Per-n estimates of n^{-1} E[beta], with successive differences."""
+    if reps < 2:
+        raise DomainError("expectation convergence needs at least two replicates")
     r, s = pair
     rows = []
     for n_idx, n in enumerate(sorted(n_grid)):
         base = seed.derive(n_idx)
 
-        def one(rep: int, n=n, base=base):
+        def one(rep: int):
             P = sample_scaled_process(process, density, n, base.derive(rep))
             return _betti_vector(P, q, [(r, s)], kind, s)[0] / n
 
-        vals = np.array(_map_indexed(one, reps, threads))
+        vals = np.array([one(i) for i in range(reps)])
         rows.append(
             {
                 "n": n,
@@ -377,14 +363,15 @@ def depoissonization_check(
     seed: RngSeed,
     kind: str = "rips",
     alpha: AlphaEstimate | None = None,
-    threads: int = 1,
 ) -> dict:
     """E[R_{n,n}] vs alpha(r,s): paired add-one increments of the scaled
     binomial process against the local Poisson estimate."""
+    if reps < 2:
+        raise DomainError("de-Poissonization needs at least two replicates")
     if alpha is None:
         alpha = estimate_alpha(
             r, s, q, density, window_radius=max(3.0, 3.0 * mu(kind, s)),
-            reps=min(reps, 2000), seed=seed.derive(10**6), kind=kind, threads=threads,
+            reps=min(reps, 2000), seed=seed.derive(10**6), kind=kind,
         )
     scale = n ** (1.0 / density.d)
 
@@ -396,7 +383,7 @@ def depoissonization_check(
         b_big = _betti_vector(base, q, [(r, s)], kind, s)[0]
         return b_big - b_small
 
-    vals = np.array(_map_indexed(one, reps, threads))
+    vals = np.array([one(i) for i in range(reps)])
     mean_r = float(vals.mean())
     se_r = float(vals.std(ddof=1) / math.sqrt(reps))
     pooled = math.sqrt(se_r**2 + alpha.standard_error**2)
@@ -450,7 +437,6 @@ def radius_tail_experiment(
     seed: RngSeed,
     d: int = 2,
     kind: str = "rips",
-    threads: int = 1,
 ) -> TailTable:
     """Empirical survival of the weak radius and of the strong-radius
     surrogate; censored replicates count as exceedances (conservative)."""
@@ -470,7 +456,7 @@ def radius_tail_experiment(
             base = seed.derive(cell)
             cell += 1
 
-            def one(rep: int, lam=lam, r=r, base=base):
+            def one(rep: int):
                 P = sample_poisson_homogeneous(float(lam), box, base.derive(rep))
                 est, trace = weak_radius(
                     P, origin, z, float(r), float(r), kind=kind,
@@ -485,7 +471,7 @@ def radius_tail_experiment(
                     strong_vals[q] = math.inf if st.censored else st.value
                 return weak_vals, strong_vals
 
-            results = _map_indexed(one, reps, threads)
+            results = [one(i) for i in range(reps)]
             for q in q_list:
                 for stat, idx in (("weak", 0), ("strong", 1)):
                     vals = np.array([res[idx][q] for res in results])

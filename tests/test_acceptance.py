@@ -1,10 +1,15 @@
 """Acceptance suite: one test per criterion, each printing PASS or FAIL."""
 
+import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 
+import pslab
+from pslab.cli import main
 from pslab.experiments import (
     AD_CRITICAL_1PCT,
     CltConfig,
@@ -12,16 +17,15 @@ from pslab.experiments import (
     estimate_alpha,
     normality_score,
     radius_tail_experiment,
-    replicates_csv,
-    covariance_csv,
     run_clt,
-    scores_csv,
+    sample_scaled_process,
     variance_relation_check,
 )
 from pslab.filtration import build, build_rips, count_new_simplices
 from pslab.persistence import (
     RankQuery,
     connected_component_count,
+    persistent_betti,
     persistent_betti_direct,
     reduce,
 )
@@ -247,23 +251,60 @@ def test_criterion_9_radius_tightness():
     _report(9, monotone and tight, f"monotone={monotone}, best L*={best[0]} slack {best[1]:.4f}")
 
 
-def test_criterion_10_determinism_across_threads():
-    identical = True
+# the configs of criterion 10's CLI runs: the CLT ones of `_clt_cfg` below,
+# an alpha estimate and a radius-tail grid
+_DETERMINISM_RUNS = {
+    "clt-degenerate": ("clt", {"process": "poisson", "density": {"kind": "constant", "d": 2}, "q": 0,
+                               "pairs": [[0.0, 0.0]], "n_grid": [100], "replicates": 60, "r_max": 0.0,
+                               "q_max": 1, "seed": 110}),
+    "clt": ("clt", {"process": "poisson", "density": {"kind": "constant", "d": 2}, "q": 1,
+                    "pairs": [[0.5, 0.7]], "n_grid": [100], "replicates": 50, "r_max": 0.7,
+                    "q_max": 2, "seed": 110}),
+    "alpha": ("alpha", {"r": 0.3, "s": 0.4, "q": 0, "density": {"kind": "constant", "d": 2},
+                        "window_radius": 2.0, "reps": 40, "seed": 110, "stream": 1}),
+    "tails": ("tails", {"lambda_grid": [0.5], "r_grid": [0.5], "q_list": [0, 1], "L_grid": [0.5, 1.0],
+                        "reps": 30, "window": 3.0, "seed": 110, "stream": 3}),
+}
+
+
+def _outputs(out_dir):
+    """Every output file but the manifest, whose timestamps differ per run."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
+
+
+def test_criterion_10_determinism(tmp_path):
+    # replicate i is a function of its derived seed alone: recomputing
+    # replicates out of order, on their own, gives the rows of the full run
+    rows_equal = True
     cfg_deg = _clt_cfg("poisson", ((0.0, 0.0),), (100,), 60, 0, 0.0, 110)
     cfg_clt = _clt_cfg("poisson", ((0.5, 0.7),), (100,), 50, 1, 0.7, 110)
     for cfg in (cfg_deg, cfg_clt):
-        a = run_clt(cfg, threads=1)
-        b = run_clt(cfg, threads=3)
-        identical &= replicates_csv(a) == replicates_csv(b)
-        identical &= covariance_csv(a) == covariance_csv(b)
-        identical &= scores_csv(a) == scores_csv(b)
-    a1 = estimate_alpha(0.3, 0.4, 0, KAPPA, window_radius=2.0, reps=40, seed=RngSeed(110, 1), threads=1)
-    a2 = estimate_alpha(0.3, 0.4, 0, KAPPA, window_radius=2.0, reps=40, seed=RngSeed(110, 1), threads=2)
-    identical &= (a1.value, a1.standard_error) == (a2.value, a2.standard_error)
-    d1 = depoissonization_check(100, 0.5, 0.5, 1, KAPPA, reps=60, seed=RngSeed(110, 2), threads=1)
-    d2 = depoissonization_check(100, 0.5, 0.5, 1, KAPPA, reps=60, seed=RngSeed(110, 2), threads=2)
-    identical &= (d1["mean_R"], d1["se_R"]) == (d2["mean_R"], d2["se_R"])
-    t1 = radius_tail_experiment([0.5], [0.5], [0, 1], [0.5, 1.0], 30, 3.0, RngSeed(110, 3), threads=1)
-    t2 = radius_tail_experiment([0.5], [0.5], [0, 1], [0.5, 1.0], 30, 3.0, RngSeed(110, 3), threads=2)
-    identical &= t1.to_csv() == t2.to_csv()
-    _report(10, identical, "clt, alpha, de-poissonization and tail CSVs byte-identical across threads")
+        betas = run_clt(cfg).per_n[100].betas
+        for rep in (49, 25, 0):
+            P = sample_scaled_process(cfg.process, cfg.density, 100, cfg.seed.derive(0).derive(rep))
+            D = reduce(build(P, cfg.kind, cfg.r_max, cfg.q + 1))
+            row = [persistent_betti(D, RankQuery(cfg.q, r, s)) for r, s in cfg.pairs]
+            rows_equal &= betas[rep].tolist() == row
+    # and the CLI's output bytes do not depend on the interpreter: a fresh one
+    # with another hash seed writes the same files as this one
+    script = ["import sys", "from pslab.cli import main"]
+    for label, (command, config) in _DETERMINISM_RUNS.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "here" / label)]) == 0
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "fresh" / label)]
+        script.append(f"assert main({argv!r}) == 0")
+    hash_seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = os.path.dirname(os.path.dirname(pslab.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh_ok = subprocess.run([sys.executable, "-c", "\n".join(script)], env=env).returncode == 0
+    bytes_equal = fresh_ok and all(
+        _outputs(tmp_path / "here" / label) == _outputs(tmp_path / "fresh" / label) for label in _DETERMINISM_RUNS
+    )
+    _report(
+        10,
+        rows_equal and bytes_equal,
+        f"replicates 49, 25, 0 recomputed alone equal their CLT rows: {rows_equal}; "
+        f"clt, alpha and tails bytes equal in a fresh interpreter (PYTHONHASHSEED={hash_seed}): {bytes_equal}",
+    )

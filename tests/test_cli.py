@@ -219,6 +219,8 @@ def test_clt_degenerate_covariance(tmp_path):
 
 
 def test_clt_threads_byte_identical(tmp_path):
+    # `--threads` is ignored, and kept only so that the benchmark's `--threads 1`
+    # still parses; this test guards that the flag is accepted
     cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "pairs": [[0.3, 0.4]], "n_grid": [30], "replicates": 50, "r_max": 0.4})
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["clt", "--config", cfg, "--out", str(a), "--threads", "1"]) == 0

@@ -181,15 +181,6 @@ def test_clt_config_validation():
         _clt_config("poisson", n_grid=(100, 50))
 
 
-def test_clt_threads_do_not_change_results():
-    cfg = _clt_config("poisson", pairs=((0.3, 0.4),), n_grid=(30,), reps=50, r_max=0.4, seed=77)
-    a = run_clt(cfg, threads=1)
-    b = run_clt(cfg, threads=2)
-    assert np.array_equal(a.per_n[30].betas, b.per_n[30].betas)
-    assert replicates_csv(a) == replicates_csv(b)
-    assert covariance_csv(a) == covariance_csv(b)
-
-
 def test_sample_scaled_process_binomial_cardinality():
     P = sample_scaled_process("binomial", KAPPA, 40, RngSeed(3, 0))
     assert P.n == 40
@@ -215,6 +206,21 @@ def test_depoissonization_degenerate():
     alpha1 = AlphaEstimate(0.0, 0.0, 1, 0.0, 0.0, 3.0, 0.0)
     out1 = depoissonization_check(50, 0.0, 0.0, 1, KAPPA, reps=60, seed=RngSeed(6, 1), alpha=alpha1)
     assert out1["mean_R"] == 0.0 and out1["pass"] is True
+
+
+# a standard error needs two replicates; fewer used to give NaN with only a
+# RuntimeWarning
+def test_expectation_convergence_needs_two_replicates():
+    for reps in (0, 1):
+        with pytest.raises(DomainError):
+            expectation_convergence("binomial", KAPPA, (0.0, 0.0), 0, [50], reps=reps, seed=RngSeed(5, 0))
+
+
+def test_depoissonization_needs_two_replicates():
+    alpha = AlphaEstimate(0.0, 0.0, 0, 1.0, 0.0, 3.0, 0.0)
+    for reps in (0, 1):
+        with pytest.raises(DomainError):
+            depoissonization_check(50, 0.0, 0.0, 0, KAPPA, reps=reps, seed=RngSeed(6, 0), alpha=alpha)
 
 
 # -- radius tails -------------------------------------------------------------
