@@ -234,10 +234,11 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     # enforce exact face monotonicity: a Cech radius from `miniball` and the
     # half close-pair lengths of its edges can disagree by 1 ulp, which would
     # break the filtration property
-    for k in range(2, len(simplices)):
-        for c in range(k + 1):
-            facets = np.delete(simplices[k], c, axis=1)
-            times[k] = np.maximum(times[k], times[k - 1][_lookup(codes, n, facets)])
+    if kind == "cech":
+        for k in range(2, len(simplices)):
+            for c in range(k + 1):
+                facets = np.delete(simplices[k], c, axis=1)
+                times[k] = np.maximum(times[k], times[k - 1][_lookup(codes, n, facets)])
 
     times_arr = np.concatenate(times)
     dims_arr = np.concatenate([np.full(len(s), k, dtype=int) for k, s in enumerate(simplices)])

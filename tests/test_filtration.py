@@ -194,7 +194,7 @@ def test_filtration_monotone_and_sandwich():
                 v = C.verts[i]
                 for k in range(len(v)):
                     if len(v) > 1:
-                        assert C.times[idx[v[:k] + v[k + 1:]]] <= C.times[i] + 1e-12
+                        assert C.times[idx[v[:k] + v[k + 1:]]] <= C.times[i]
                 diam = max(
                     (np.linalg.norm(P.points[a] - P.points[b]) for a, b in itertools.combinations(v, 2)),
                     default=0.0,
