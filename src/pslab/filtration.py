@@ -15,6 +15,8 @@ from scipy.spatial import cKDTree
 
 from .point_process import BallWindow, DomainError, PointCloud
 
+# relative slack of the miniball containment tests; with no absolute part, a
+# cloud scaled by a power of two gets exactly scaled radii
 MB_TOL = 1e-9
 
 
@@ -54,7 +56,7 @@ def _welzl(pts: list[np.ndarray], n: int, boundary: list[np.ndarray], d: int):
     if len(boundary) == d + 1:
         return ball
     for i in range(n):
-        if ball is not None and np.linalg.norm(pts[i] - ball[0]) <= ball[1] + MB_TOL * (1.0 + ball[1]):
+        if ball is not None and np.linalg.norm(pts[i] - ball[0]) <= (1.0 + MB_TOL) * ball[1]:
             continue
         ball = _welzl(pts, i, boundary + [pts[i]], d)
     return ball
@@ -87,7 +89,7 @@ def _mb3(p, q, r) -> tuple[np.ndarray, float]:
     best = None
     for a, b, other in ((p, q, r), (p, r, q), (q, r, p)):
         c, rad = _mb2(a, b)
-        if np.linalg.norm(other - c) <= rad + MB_TOL * (1.0 + rad):
+        if np.linalg.norm(other - c) <= (1.0 + MB_TOL) * rad:
             if best is None or rad < best[1]:
                 best = (c, rad)
     if best is not None:

@@ -58,6 +58,45 @@ def test_rips_and_cech_interleave_by_jung(P, q_max):
         assert t_cech <= jung * t_rips[v] * (1.0 + 1e-12)
 
 
+# no quarter-grid simplex has its Rips or Cech time at one of these caps, so
+# moving a time by a few ulps cannot move a cell across the cap
+CAPS = [("rips", 0.3), ("rips", 0.6), ("rips", 1.5), ("cech", 0.15), ("cech", 0.3), ("cech", 1.0)]
+
+
+# a power of two scales every coordinate, distance and radius without rounding;
+# the example is a triangle whose two long sides differ by about 1e-9, where a
+# miniball tolerance with an absolute part chose another ball after scaling
+@settings(max_examples=100, deadline=None)
+@given(clouds, st.sampled_from(CAPS), st.integers(1, 3), st.sampled_from([-1, 1, 3]))
+@example(
+    PointCloud(np.array([[0.0, 0.0], [0.125, 0.5], [0.0, 1.1853451761172743e-09], [0.0, 0.0]]), unit_box(2)),
+    ("cech", 0.3), 3, 1,
+)
+def test_scaling_the_cloud_scales_the_diagram_exactly(P, cap, q_max, k):
+    kind, r_max = cap
+    a = 2.0**k
+    D = reduce(build(P, kind, r_max, q_max))
+    scaled = reduce(build(P.scale(a), kind, a * r_max, q_max))
+    assert _triples(scaled) == [(q, a * b, a * d) for q, b, d in _triples(D)]
+
+
+# an integer shift rounds uniform coordinates, so times may move by ulps; on
+# quarter-grid clouds Cech radii also move, since `_circumball` solves in
+# absolute coordinates, and only the Rips times there stay exact
+@settings(max_examples=100, deadline=None)
+@given(clouds, st.sampled_from(CAPS), st.integers(1, 3), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_integer_translation_leaves_the_diagram_unchanged(P, cap, q_max, v):
+    kind, r_max = cap
+    D = reduce(build(P, kind, r_max, q_max))
+    moved = reduce(build(P.translate(v), kind, r_max, q_max))
+    assert sorted(moved.qs.tolist()) == sorted(D.qs.tolist())
+    for q in set(D.qs.tolist()):
+        for times in ("births", "deaths"):
+            got = np.sort(getattr(moved, times)[moved.qs == q])
+            want = np.sort(getattr(D, times)[D.qs == q])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # Cech caps at half the Rips ones give the same edges; the oracle's cost grows
 # with the square of the number of distinct times, and 12 points at Cech 0.3
 # already have about 80
