@@ -235,7 +235,8 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
 
     # enforce exact face monotonicity: a Cech radius from `miniball` and the
     # half close-pair lengths of its edges can disagree by 1 ulp, which would
-    # break the filtration property
+    # break the filtration property; a Rips time is the largest close-pair
+    # length of its edges, so no facet can enter after it
     if kind == "cech":
         for k in range(2, len(simplices)):
             for c in range(k + 1):

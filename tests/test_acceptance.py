@@ -251,8 +251,8 @@ def test_criterion_9_radius_tightness():
     _report(9, monotone and tight, f"monotone={monotone}, best L*={best[0]} slack {best[1]:.4f}")
 
 
-# the configs of criterion 10's CLI runs: the CLT ones of `_clt_cfg` below,
-# an alpha estimate and a radius-tail grid
+# the configs of criterion 10's CLI runs: its two CLT configs (cfg_deg and
+# cfg_clt), an alpha estimate and a radius-tail grid
 _DETERMINISM_RUNS = {
     "clt-degenerate": ("clt", {"process": "poisson", "density": {"kind": "constant", "d": 2}, "q": 0,
                                "pairs": [[0.0, 0.0]], "n_grid": [100], "replicates": 60, "r_max": 0.0,

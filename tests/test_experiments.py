@@ -208,8 +208,7 @@ def test_depoissonization_degenerate():
     assert out1["mean_R"] == 0.0 and out1["pass"] is True
 
 
-# a standard error needs two replicates; fewer used to give NaN with only a
-# RuntimeWarning
+# a standard error needs two replicates
 def test_expectation_convergence_needs_two_replicates():
     for reps in (0, 1):
         with pytest.raises(DomainError):
