@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# the LAPACK gelsd gufunc behind numpy's lstsq, which solves a stack in one call
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 from scipy.spatial import cKDTree
 
 from .point_process import BallWindow, DomainError, PointCloud
@@ -34,17 +36,63 @@ def mu(kind: str, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _norms(U: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of U (shape (..., d)), rounded exactly as
+    `np.linalg.norm` rounds each row: the stacked 1 x d by d x 1 products go
+    through the same dot kernel as the norm of a single vector."""
+    return np.sqrt((U[..., None, :] @ U[..., :, None])[..., 0, 0])
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _circumballs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the smallest balls with all points of each X[i]
+    on their boundary (X of shape (m, k, d), k >= 2, each X[i] affinely
+    small).  One stacked call of the gufunc behind numpy's `lstsq`, with its
+    default rcond and its error rule, so every center is bit-identical to a
+    per-matrix `lstsq` solve."""
+    p0 = X[:, 0]
+    D = X[:, 1:] - p0[:, None, :]
+    A = 2.0 * D
+    b = np.einsum("mij,mij->mi", D, D)
+    rcond = np.finfo(float).eps * max(A.shape[1:])
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        sol = _gelsd(A, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+    c = p0 + sol
+    return c, _norms(X - c[:, None, :]).max(axis=1)
+
+
+def _triangle_balls(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the smallest enclosing balls of triangles X (shape
+    (m, 3, d)).  The midpoint balls of the edges (0,1), (0,2), (1,2) are tried
+    in that order; one counts if it holds the third vertex, and the first of
+    the strictly smallest counted ones wins.  Triangles with none go to the
+    circumball."""
+    m = X.shape[0]
+    center = np.empty((m, X.shape[2]))
+    radius = np.empty(m)
+    found = np.zeros(m, dtype=bool)
+    for a, b, other in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        c = 0.5 * (X[:, a] + X[:, b])
+        rad = _norms(X[:, a] - c)
+        take = _norms(X[:, other] - c) <= (1.0 + MB_TOL) * rad
+        take &= ~found | (rad < radius)
+        center[take], radius[take] = c[take], rad[take]
+        found |= take
+    rest = ~found
+    if rest.any():
+        center[rest], radius[rest] = _circumballs(X[rest])
+    return center, radius
+
+
 def _circumball(R: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Smallest ball with all points of R on its boundary (R affinely small)."""
-    p0 = R[0]
     if len(R) == 1:
-        return p0, 0.0
-    A = 2.0 * (np.asarray(R[1:]) - p0)
-    b = np.einsum("ij,ij->i", np.asarray(R[1:]) - p0, np.asarray(R[1:]) - p0)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    c = p0 + sol
-    r = max(float(np.linalg.norm(p - c)) for p in R)
-    return c, r
+        return R[0], 0.0
+    c, r = _circumballs(np.asarray(R)[None])
+    return c[0], float(r[0])
 
 
 def _welzl(pts: list[np.ndarray], n: int, boundary: list[np.ndarray], d: int):
@@ -73,7 +121,8 @@ def miniball(points) -> tuple[np.ndarray, float]:
     if n == 2:
         return _mb2(pts[0], pts[1])
     if n == 3:
-        return _mb3(pts[0], pts[1], pts[2])
+        c, r = _triangle_balls(pts[None])
+        return c[0], float(r[0])
     order = np.random.default_rng(0).permutation(n)
     ball = _welzl([pts[i] for i in order], n, [], d)
     assert ball is not None
@@ -83,18 +132,6 @@ def miniball(points) -> tuple[np.ndarray, float]:
 def _mb2(p, q) -> tuple[np.ndarray, float]:
     c = 0.5 * (p + q)
     return c, float(np.linalg.norm(p - c))
-
-
-def _mb3(p, q, r) -> tuple[np.ndarray, float]:
-    best = None
-    for a, b, other in ((p, q, r), (p, r, q), (q, r, p)):
-        c, rad = _mb2(a, b)
-        if np.linalg.norm(other - c) <= (1.0 + MB_TOL) * rad:
-            if best is None or rad < best[1]:
-                best = (c, rad)
-    if best is not None:
-        return best
-    return _circumball([p, q, r])
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +190,7 @@ def close_pairs(pts: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]
     cand = cKDTree(pts).query_pairs(cutoff * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
     cand = np.sort(np.asarray(cand, dtype=np.intp).reshape(-1, 2), axis=1)
     cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
-    # the stacked 1 x d by d x 1 products go through the same dot kernel as
-    # the norm of a single vector
-    diff = pts[cand[:, 0]] - pts[cand[:, 1]]
-    lengths = np.sqrt((diff[:, None, :] @ diff[:, :, None]).reshape(-1))
+    lengths = _norms(pts[cand[:, 0]] - pts[cand[:, 1]])
     keep = lengths <= cutoff
     return cand[keep], lengths[keep]
 
@@ -225,6 +259,8 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             cells = np.column_stack([prev[owner], w])
             if kind == "rips":
                 t = new_diam
+            elif k == 2:
+                t = _triangle_balls(pts[cells])[1]
             else:
                 t = np.array([miniball(pts[v])[1] for v in cells.tolist()])
             keep = t <= r_max

@@ -4,18 +4,33 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pslab.experiments import sample_scaled_process
 from pslab.filtration import (
+    MB_TOL,
+    _circumballs,
+    _triangle_balls,
     build,
     build_cech,
     build_rips,
+    close_pairs,
     complex_from_text,
     count_new_simplices,
     miniball,
     mu,
     restrict,
 )
-from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
+from pslab.point_process import (
+    Box,
+    DomainError,
+    PointCloud,
+    RngSeed,
+    constant_density,
+    sample_poisson_homogeneous,
+    unit_box,
+)
 
 SQUARE = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), unit_box(2))
 
@@ -132,12 +147,104 @@ def _brute_miniball_radius(pts):
     return best
 
 
+# right, obtuse, collinear (middle point first and last) and coincident-pair
+# triangles, whose radii are 0.5 * sqrt(2), 1, 1, 1 and 1
+FIXED_TRIANGLES = [
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 0.0], [2.0, 0.0], [1.0, 0.1]],
+    [[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+    [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+]
+
+
 def test_miniball_against_brute_force():
+    # 30-point sets go through Welzl, triangles through `_triangle_balls`
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        pts = rng.random((30, 2))
+    for pts in [*rng.random((10, 30, 2)), *rng.random((200, 3, 2)), *np.array(FIXED_TRIANGLES)]:
         _, r = miniball(pts)
         assert abs(r - _brute_miniball_radius(pts)) <= 1e-9
+
+
+def _reference_circumball(R):
+    p0 = R[0]
+    A = 2.0 * (np.asarray(R[1:]) - p0)
+    b = np.einsum("ij,ij->i", np.asarray(R[1:]) - p0, np.asarray(R[1:]) - p0)
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    c = p0 + sol
+    return c, max(float(np.linalg.norm(p - c)) for p in R)
+
+
+def _reference_triangle_ball(p, q, r):
+    """The per-triangle miniball that `_triangle_balls` replaced, kept here as
+    the reference: the first of the strictly smallest edge-midpoint balls that
+    hold the third vertex, else the circumball."""
+    best = None
+    for a, b, other in ((p, q, r), (p, r, q), (q, r, p)):
+        c = 0.5 * (a + b)
+        rad = float(np.linalg.norm(a - c))
+        if np.linalg.norm(other - c) <= (1.0 + MB_TOL) * rad:
+            if best is None or rad < best[1]:
+                best = (c, rad)
+    return best if best is not None else _reference_circumball([p, q, r])
+
+
+def _assert_triangle_balls_exact(X):
+    centers, radii = _triangle_balls(X)
+    for x, c, r in zip(X, centers, radii):
+        c_ref, r_ref = _reference_triangle_ball(*x)
+        assert r == r_ref and np.array_equal(c, c_ref)
+
+
+def _candidate_triangles(pts, r_max):
+    """Every triangle of the Cech cutoff graph, as `build` enumerates them."""
+    edges, _ = close_pairs(pts, mu("cech", r_max))
+    nbrs = [set() for _ in range(len(pts))]
+    for i, j in edges.tolist():
+        nbrs[i].add(j)
+    rows = [(i, j, k) for i in range(len(pts)) for j in nbrs[i] for k in nbrs[i] & nbrs[j]]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+# triangles where the rules of the midpoint step decide: two midpoint balls of
+# equal radius but different centers hold their third vertex (so the edge
+# order and the tie rule pick the center), and a third vertex just inside and
+# just outside the tolerance of the midpoint ball of (0, 1)
+_angle = np.array([np.cos(2.0), np.sin(2.0)])
+EDGE_CASE_TRIANGLES = [
+    [[0.0, 0.0], [1.0, 1e-6], [1.0, -1e-6]],
+    [[1.0, 1e-6], [1.0, -1e-6], [0.0, 0.0]],
+    [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0] + 0.5 * (1.0 + 0.5 * MB_TOL) * _angle],
+    [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0] + 0.5 * (1.0 + 2.0 * MB_TOL) * _angle],
+]
+
+
+def test_triangle_balls_match_the_per_triangle_miniball_exactly():
+    _assert_triangle_balls_exact(np.array(EDGE_CASE_TRIANGLES))
+    for d, n, r_max, seeds in ((2, 1000, 0.7, range(3)), (3, 150, 0.9, range(3))):
+        for seed in seeds:
+            pts = sample_scaled_process("binomial", constant_density(d), n, RngSeed(40 + seed, 0)).points
+            X = pts[_candidate_triangles(pts, r_max)]
+            assert len(X) > 1000
+            _assert_triangle_balls_exact(X)
+
+
+def test_circumballs_raise_when_the_svd_does_not_converge():
+    # as numpy's lstsq does, instead of returning a NaN center
+    with pytest.raises(np.linalg.LinAlgError):
+        _circumballs(np.array([[[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]]]))
+
+
+# uniform or quarter-grid coordinates, so that right angles, ties and
+# coincident points are drawn often
+_coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda i: i / 4.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=9))
+def test_triangle_balls_match_the_per_triangle_miniball_on_small_clouds(rows):
+    pts = np.array(rows, dtype=float)
+    _assert_triangle_balls_exact(pts[list(itertools.combinations(range(len(pts)), 3))])
 
 
 def test_miniball_keeps_recursion_limit():
