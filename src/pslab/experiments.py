@@ -145,8 +145,8 @@ def estimate_alpha(
     homogeneous Poisson window with intensity kappa(X)."""
     if r > s:
         raise DomainError("alpha needs r <= s")
-    if reps < 1:
-        raise DomainError("alpha needs at least one replicate")
+    if reps < 2:
+        raise DomainError("alpha needs at least two replicates")
     if window_radius < 3.0 * mu(kind, s):
         raise DomainError("window radius below a*(s) + 2 mu(s)")
     d = density.d

@@ -182,12 +182,14 @@ def test_alpha_command_degenerate(tmp_path):
 
 
 def test_alpha_zero_replicates_is_config_error(tmp_path):
-    cfg = _cfg(
-        tmp_path,
-        "a.json",
-        {"r": 0.0, "s": 0.0, "q": 0, "density": {"kind": "constant", "d": 2}, "window_radius": 3.0, "reps": 0},
-    )
-    assert main(["alpha", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    # one replicate is refused too: its standard error would read 0
+    for reps in (0, 1):
+        cfg = _cfg(
+            tmp_path,
+            "a.json",
+            {"r": 0.0, "s": 0.0, "q": 0, "density": {"kind": "constant", "d": 2}, "window_radius": 3.0, "reps": reps},
+        )
+        assert main(["alpha", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 # -- clt ----------------------------------------------------------------------

@@ -121,6 +121,13 @@ def test_alpha_validation():
         estimate_alpha(0.3, 0.4, 0, KAPPA, window_radius=1.0, reps=50, seed=RngSeed(0, 0))
 
 
+def test_alpha_needs_two_replicates():
+    # one replicate would report standard error 0, as if alpha were exact
+    for reps in (0, 1):
+        with pytest.raises(DomainError):
+            estimate_alpha(0.3, 0.4, 0, KAPPA, window_radius=2.0, reps=reps, seed=RngSeed(2, 0))
+
+
 # -- CLT harness --------------------------------------------------------------
 
 
