@@ -3,7 +3,7 @@ geometric filtrations, with Monte Carlo experiments for their limit theory."""
 
 __version__ = "0.1.0"
 
-from .filtration import FilteredComplex, build, build_cech, build_rips, miniball, mu
+from .filtration import FilteredComplex, build, build_cech, build_rips, mu
 from .persistence import (
     PersistenceDiagram,
     RankQuery,
@@ -55,7 +55,6 @@ __all__ = [
     "build_rips",
     "connected_component_count",
     "constant_density",
-    "miniball",
     "mu",
     "persistent_betti",
     "persistent_betti_direct",

@@ -173,7 +173,7 @@ def estimate_alpha(
         raise CensoringError(
             f"censored fraction {censored_frac:.3f} exceeds {CENSORING_LIMIT}; enlarge the window"
         )
-    se = float(costs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    se = float(costs.std(ddof=1) / math.sqrt(reps))
     return AlphaEstimate(r, s, q, float(costs.mean()), se, window_radius, censored_frac)
 
 

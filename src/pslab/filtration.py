@@ -17,8 +17,10 @@ from scipy.spatial import cKDTree
 
 from .point_process import BallWindow, DomainError, PointCloud
 
-# relative slack of the miniball containment tests; with no absolute part, a
-# cloud scaled by a power of two gets exactly scaled radii
+# relative slack of the facet-ball containment test in `_enclosing_balls`
+# (a simplex whose facet balls all miss their omitted vertex goes to
+# `_circumballs`); with no absolute part, a cloud scaled by a power of two
+# gets exactly scaled radii
 MB_TOL = 1e-9
 
 
@@ -64,74 +66,27 @@ def _circumballs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, _norms(X - c[:, None, :]).max(axis=1)
 
 
-def _triangle_balls(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and radii of the smallest enclosing balls of triangles X (shape
-    (m, 3, d)).  The midpoint balls of the edges (0,1), (0,2), (1,2) are tried
-    in that order; one counts if it holds the third vertex, and the first of
-    the strictly smallest counted ones wins.  Triangles with none go to the
-    circumball."""
-    m = X.shape[0]
-    center = np.empty((m, X.shape[2]))
+def _enclosing_balls(X: np.ndarray, fc: np.ndarray, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the smallest enclosing balls of simplices X (shape
+    (m, k + 1, d), k >= 2), from the balls of their facets: fc[:, c] and
+    fr[:, c] are the center and radius of the facet without vertex c.  The
+    facets are tried by omitted vertex c = k, ..., 0; one counts if its ball
+    holds vertex c, and the first of the strictly smallest counted ones wins.
+    Simplices with none have every vertex on their ball: the circumball."""
+    m, k1, d = X.shape
+    center = np.empty((m, d))
     radius = np.empty(m)
     found = np.zeros(m, dtype=bool)
-    for a, b, other in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        c = 0.5 * (X[:, a] + X[:, b])
-        rad = _norms(X[:, a] - c)
-        take = _norms(X[:, other] - c) <= (1.0 + MB_TOL) * rad
+    for c in range(k1 - 1, -1, -1):
+        rad = fr[:, c]
+        take = _norms(X[:, c] - fc[:, c]) <= (1.0 + MB_TOL) * rad
         take &= ~found | (rad < radius)
-        center[take], radius[take] = c[take], rad[take]
+        center[take], radius[take] = fc[take, c], rad[take]
         found |= take
     rest = ~found
     if rest.any():
         center[rest], radius[rest] = _circumballs(X[rest])
     return center, radius
-
-
-def _circumball(R: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Smallest ball with all points of R on its boundary (R affinely small)."""
-    if len(R) == 1:
-        return R[0], 0.0
-    c, r = _circumballs(np.asarray(R)[None])
-    return c[0], float(r[0])
-
-
-def _welzl(pts: list[np.ndarray], n: int, boundary: list[np.ndarray], d: int):
-    """Smallest ball enclosing pts[:n] with the boundary points on its sphere,
-    or None when both are empty.  A point outside the current ball restarts
-    the search over the points before it with that point added to the
-    boundary, so the recursion is at most d + 2 deep."""
-    ball = _circumball(boundary) if boundary else None
-    if len(boundary) == d + 1:
-        return ball
-    for i in range(n):
-        if ball is not None and np.linalg.norm(pts[i] - ball[0]) <= (1.0 + MB_TOL) * ball[1]:
-            continue
-        ball = _welzl(pts, i, boundary + [pts[i]], d)
-    return ball
-
-
-def miniball(points) -> tuple[np.ndarray, float]:
-    """Center and radius of the smallest enclosing ball of a nonempty point set."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise DomainError("miniball of an empty point set")
-    n, d = pts.shape
-    if n == 1:
-        return pts[0].copy(), 0.0
-    if n == 2:
-        return _mb2(pts[0], pts[1])
-    if n == 3:
-        c, r = _triangle_balls(pts[None])
-        return c[0], float(r[0])
-    order = np.random.default_rng(0).permutation(n)
-    ball = _welzl([pts[i] for i in order], n, [], d)
-    assert ball is not None
-    return ball
-
-
-def _mb2(p, q) -> tuple[np.ndarray, float]:
-    c = 0.5 * (p + q)
-    return c, float(np.linalg.norm(p - c))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +172,27 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     n = pts.shape[0]
 
     # Per dimension k: the k-simplices as vertex rows in lexicographic order,
-    # their entry times, and their lookup codes (see `_lookup`).
+    # their entry times, and their lookup codes (see `_lookup`); for Cech also
+    # the centers and radii of their smallest enclosing balls, from which the
+    # next dimension's balls are built.
     simplices = [np.arange(n, dtype=np.intp).reshape(n, 1)]
     times = [np.zeros(n)]
     codes = [np.arange(n, dtype=np.intp)]
     if q_max >= 1 and r_max > 0:
+        # every close pair is an edge: its length is at most mu(kind, r_max),
+        # and halving it for Cech is exact
         edges, lengths = close_pairs(pts, cutoff)
-        t = lengths if kind == "rips" else lengths / 2.0
-        keep = t <= r_max
         # forward adjacency of the cutoff graph: the rows of `edges` grouped by
         # their first vertex, each group ascending in the second
         edge_codes = edges[:, 0] * n + edges[:, 1]
         row_end = np.searchsorted(edges[:, 0], np.arange(1, n + 1))
-        simplices.append(edges[keep])
-        times.append(t[keep])
-        codes.append(edge_codes[keep])
-        diam = lengths[keep]
+        simplices.append(edges)
+        times.append(lengths if kind == "rips" else lengths / 2.0)
+        codes.append(edge_codes)
+        diam = lengths
+        if kind == "cech":
+            center = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
+            radius = _norms(pts[edges[:, 0]] - center)
         # Clique expansion: a k-simplex extends its prefix face by a common
         # forward neighbor of all its vertices; the diameter is tracked along
         # the way from the close-pair lengths of the new edges, at the edge
@@ -259,25 +219,28 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             cells = np.column_stack([prev[owner], w])
             if kind == "rips":
                 t = new_diam
-            elif k == 2:
-                t = _triangle_balls(pts[cells])[1]
             else:
-                t = np.array([miniball(pts[v])[1] for v in cells.tolist()])
+                # one look-up per facet gives its ball, its time and whether it
+                # was kept: the prefix facet is `owner`, but another facet may
+                # have entered above r_max, and then `_lookup` finds another
+                # row; the time is the largest of the radius and the facet
+                # times, so that no facet enters after its simplex
+                at = np.empty(cells.shape, dtype=np.intp)
+                at[:, k] = owner
+                held = np.ones(len(cells), dtype=bool)
+                for c in range(k):
+                    facets = np.delete(cells, c, axis=1)
+                    at[:, c] = np.minimum(_lookup(codes, n, facets), len(prev) - 1)
+                    held &= (prev[at[:, c]] == facets).all(axis=1)
+                center, radius = _enclosing_balls(pts[cells], center[at], radius[at])
+                t = np.where(held, np.maximum(radius, times[-1][at].max(axis=1)), np.inf)
             keep = t <= r_max
             simplices.append(cells[keep])
             times.append(t[keep])
             codes.append(owner[keep] * n + w[keep])
             diam = new_diam[keep]
-
-    # enforce exact face monotonicity: a Cech radius from `miniball` and the
-    # half close-pair lengths of its edges can disagree by 1 ulp, which would
-    # break the filtration property; a Rips time is the largest close-pair
-    # length of its edges, so no facet can enter after it
-    if kind == "cech":
-        for k in range(2, len(simplices)):
-            for c in range(k + 1):
-                facets = np.delete(simplices[k], c, axis=1)
-                times[k] = np.maximum(times[k], times[k - 1][_lookup(codes, n, facets)])
+            if kind == "cech":
+                center, radius = center[keep], radius[keep]
 
     times_arr = np.concatenate(times)
     dims_arr = np.concatenate([np.full(len(s), k, dtype=int) for k, s in enumerate(simplices)])

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -11,14 +10,14 @@ from pslab.experiments import sample_scaled_process
 from pslab.filtration import (
     MB_TOL,
     _circumballs,
-    _triangle_balls,
+    _enclosing_balls,
+    _norms,
     build,
     build_cech,
     build_rips,
     close_pairs,
     complex_from_text,
     count_new_simplices,
-    miniball,
     mu,
     restrict,
 )
@@ -114,36 +113,22 @@ def test_build_rejects_bad_r_max():
         build_cech(SQUARE, r_max=-1.0, q_max=1)
 
 
-def test_miniball_trivial_cases():
-    c, r = miniball(np.array([[2.0, 3.0]]))
-    assert r == 0.0 and np.allclose(c, [2.0, 3.0])
-    c, r = miniball(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    assert np.allclose(c, [1.0, 0.0]) and abs(r - 1.0) <= 1e-12
-
-
 def _brute_miniball_radius(pts):
-    """O(n^4) oracle: try every 1/2/3-point support set, keep the smallest
-    ball covering everything."""
-    n = len(pts)
+    """Exhaustive oracle: for every support set of 1 to d + 1 affinely
+    independent points, the ball with them on its sphere and its center in
+    their affine hull; the smallest that covers every point."""
+    n, d = pts.shape
     best = math.inf
-    candidates = []
-    for i in range(n):
-        candidates.append((pts[i], 0.0))
-    for i, j in itertools.combinations(range(n), 2):
-        c = (pts[i] + pts[j]) / 2.0
-        candidates.append((c, np.linalg.norm(pts[i] - c)))
-    for i, j, k in itertools.combinations(range(n), 3):
-        a, b, cc = pts[i], pts[j], pts[k]
-        m = 2.0 * np.array([b - a, cc - a])
-        rhs = np.array([b @ b - a @ a, cc @ cc - a @ a])
-        det = np.linalg.det(m)
-        if abs(det) < 1e-14:
-            continue
-        center = np.linalg.solve(m, rhs)
-        candidates.append((center, np.linalg.norm(a - center)))
-    for center, r in candidates:
-        if all(np.linalg.norm(p - center) <= r + 1e-9 for p in pts):
-            best = min(best, r)
+    for size in range(1, min(n, d + 1) + 1):
+        for S in itertools.combinations(range(n), size):
+            p0, D = pts[S[0]], pts[list(S[1:])] - pts[S[0]]
+            G = D @ D.T
+            if size > 1 and abs(np.linalg.det(G)) < 1e-14:
+                continue
+            center = p0 + np.linalg.solve(2.0 * G, np.diag(G)) @ D if size > 1 else p0
+            r = np.linalg.norm(p0 - center)
+            if np.all(np.linalg.norm(pts - center, axis=1) <= r + 1e-9):
+                best = min(best, r)
     return best
 
 
@@ -158,12 +143,30 @@ FIXED_TRIANGLES = [
 ]
 
 
-def test_miniball_against_brute_force():
-    # 30-point sets go through Welzl, triangles through `_triangle_balls`
+def _assert_cech_times_match_brute_force(pts, r_max, q_max):
+    C = build(PointCloud(pts, Box((-1.0,) * pts.shape[1], (3.0,) * pts.shape[1])), "cech", r_max, q_max)
+    got = dict(zip(C.verts, C.times.tolist()))
+    for size in range(1, q_max + 2):
+        for v in itertools.combinations(range(len(pts)), size):
+            r = _brute_miniball_radius(pts[list(v)])
+            if v in got:
+                assert abs(got[v] - r) <= 1e-9
+            else:
+                assert r >= r_max - 1e-9
+
+
+def test_cech_times_match_brute_force_enclosing_balls():
+    # every support size: 1 and 2 points (vertices and edges), 3, and in d = 3
+    # also 4; uniform clouds, and quarter-grid clouds with cospherical and
+    # coincident points
     rng = np.random.default_rng(23)
-    for pts in [*rng.random((10, 30, 2)), *rng.random((200, 3, 2)), *np.array(FIXED_TRIANGLES)]:
-        _, r = miniball(pts)
-        assert abs(r - _brute_miniball_radius(pts)) <= 1e-9
+    for d, r_max, q_maxes in ((2, 0.45, (3,)), (3, 0.6, (3, 4))):
+        clouds = [*rng.random((6, 7, d)), *(rng.integers(0, 5, (6, 7, d)) / 4.0)]
+        for pts in clouds:
+            for q_max in q_maxes:
+                _assert_cech_times_match_brute_force(pts, r_max, q_max)
+    for pts in np.array(FIXED_TRIANGLES):
+        _assert_cech_times_match_brute_force(pts, 1.5, 3)
 
 
 def _reference_circumball(R):
@@ -176,8 +179,8 @@ def _reference_circumball(R):
 
 
 def _reference_triangle_ball(p, q, r):
-    """The per-triangle miniball that `_triangle_balls` replaced, kept here as
-    the reference: the first of the strictly smallest edge-midpoint balls that
+    """The per-triangle ball that the stacked kernel replaced, kept here as the
+    reference: the first of the strictly smallest edge-midpoint balls that
     hold the third vertex, else the circumball."""
     best = None
     for a, b, other in ((p, q, r), (p, r, q), (q, r, p)):
@@ -189,11 +192,22 @@ def _reference_triangle_ball(p, q, r):
     return best if best is not None else _reference_circumball([p, q, r])
 
 
+def _triangle_balls(X):
+    """Balls of triangles X (shape (m, 3, d)) as `build` computes them: the
+    facet without vertex c is the edge of the other two, whose ball has its
+    center at the midpoint and its radius from the first vertex."""
+    first, second = X[:, [1, 0, 0]], X[:, [2, 2, 1]]
+    centers = 0.5 * (first + second)
+    return _enclosing_balls(X, centers, _norms(first - centers))
+
+
 def _assert_triangle_balls_exact(X):
+    """Checks the kernel against the reference and returns the radii."""
     centers, radii = _triangle_balls(X)
     for x, c, r in zip(X, centers, radii):
         c_ref, r_ref = _reference_triangle_ball(*x)
         assert r == r_ref and np.array_equal(c, c_ref)
+    return radii.tolist()
 
 
 def _candidate_triangles(pts, r_max):
@@ -223,10 +237,21 @@ def test_triangle_balls_match_the_per_triangle_miniball_exactly():
     _assert_triangle_balls_exact(np.array(EDGE_CASE_TRIANGLES))
     for d, n, r_max, seeds in ((2, 1000, 0.7, range(3)), (3, 150, 0.9, range(3))):
         for seed in seeds:
-            pts = sample_scaled_process("binomial", constant_density(d), n, RngSeed(40 + seed, 0)).points
-            X = pts[_candidate_triangles(pts, r_max)]
-            assert len(X) > 1000
-            _assert_triangle_balls_exact(X)
+            P = sample_scaled_process("binomial", constant_density(d), n, RngSeed(40 + seed, 0))
+            rows = _candidate_triangles(P.points, r_max)
+            assert len(rows) > 1000
+            radii = _assert_triangle_balls_exact(P.points[rows])
+            # `build` enters a triangle at the largest of its radius and its
+            # edges' half close-pair lengths, which may be an ulp larger
+            edges, lengths = close_pairs(P.points, mu("cech", r_max))
+            half = dict(zip(map(tuple, edges.tolist()), (lengths / 2.0).tolist()))
+            want = {}
+            for (i, j, k), r in zip(rows.tolist(), radii):
+                t = max(r, half[i, j], half[i, k], half[j, k])
+                if t <= r_max:
+                    want[i, j, k] = t
+            C = build(P, "cech", r_max, 2)
+            assert {v: t for v, t, q in zip(C.verts, C.times.tolist(), C.dims.tolist()) if q == 2} == want
 
 
 def test_circumballs_raise_when_the_svd_does_not_converge():
@@ -245,23 +270,6 @@ _coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda i: i /
 def test_triangle_balls_match_the_per_triangle_miniball_on_small_clouds(rows):
     pts = np.array(rows, dtype=float)
     _assert_triangle_balls_exact(pts[list(itertools.combinations(range(len(pts)), 3))])
-
-
-def test_miniball_keeps_recursion_limit():
-    rng = np.random.default_rng(29)
-    angles = rng.random(1000) * 2.0 * np.pi
-    rim = np.column_stack([1.0 + 2.0 * np.cos(angles), -1.0 + 2.0 * np.sin(angles)])
-    inner = np.array([1.0, -1.0]) + rng.uniform(-1.4, 1.4, (2000, 2))
-    pts = np.vstack([rim, inner])
-    limit = sys.getrecursionlimit()
-    c, r = miniball(pts)
-    assert sys.getrecursionlimit() == limit
-    assert abs(r - 2.0) <= 1e-9 and np.allclose(c, [1.0, -1.0], atol=1e-9)
-
-
-def test_miniball_rejects_empty():
-    with pytest.raises(DomainError):
-        miniball(np.empty((0, 2)))
 
 
 def test_restrict():

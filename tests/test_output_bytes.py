@@ -85,7 +85,7 @@ GOLDEN = {
     "sample-binomial/cloud.csv": "f6e82e0388dce71ffe98b3ee185865a5d795ab38079bbe3bc175a41650dc4635",
     "sample-binomial/cloud.json": "12a63e77cd4ee8d5875ab494ae0027c6ce839fb0338bbed54a14573d57c1ac2a",
     "complex-rips/complex.txt": "6271e91ee3031dcc9f248e14808300337278704fb6f19d900ec7b3664425a0df",
-    "complex-cech/complex.txt": "e7a427ab95715989cede9945119011d28dc96734387ca8701c0b8bcf5c2c6228",
+    "complex-cech/complex.txt": "f0fe20ecc5962f9ef238dfe48f8eaef9af5e7a36f6ea248d8243daeedc3559bb",
     "persist/diagram.csv": "64916ca9bd9cd4b47767160ceb67b4d5a0102ceb0761ac91c916a2362ca309f1",
     "persist/queries.csv": "7343a0cb801d768a42d8b2d17bf832c7bff6eaced3bc31d754cbf69c96732d91",
     "radius/radius.csv": "9ef583803e965ce7f27eaf55e86e18082463fccb683812cb424cb4c9c0f07ba2",

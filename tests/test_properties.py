@@ -16,6 +16,9 @@ coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda i: i / 
 clouds = st.lists(st.tuples(coordinate, coordinate), max_size=12).map(
     lambda rows: PointCloud(np.array(rows, dtype=float).reshape(-1, 2), unit_box(2))
 )
+clouds_3d = st.lists(st.tuples(coordinate, coordinate, coordinate), max_size=9).map(
+    lambda rows: PointCloud(np.array(rows, dtype=float).reshape(-1, 3), unit_box(3))
+)
 
 
 def _triples(D):
@@ -58,6 +61,22 @@ def test_rips_and_cech_interleave_by_jung(P, q_max):
         assert t_cech <= jung * t_rips[v] * (1.0 + 1e-12)
 
 
+# in R^d at most d + 1 points support a smallest enclosing ball, so a simplex
+# of k + 1 >= d + 2 vertices has the ball of a facet, and its Cech time is
+# exactly its largest facet time; the unit square's and cube's Cech radii are
+# below 1, so every simplex up to q_max is present
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(clouds.map(lambda P: (P, 3)), clouds_3d.map(lambda P: (P, 4))))
+def test_cech_time_of_a_simplex_past_d_plus_one_vertices_is_its_largest_facet_time(case):
+    P, q_max = case
+    C = build(P, "cech", 1.0, q_max)
+    t = dict(zip(C.verts, C.times.tolist()))
+    assert len(t) == sum(math.comb(P.n, k + 1) for k in range(q_max + 1))
+    for v, time in t.items():
+        if len(v) - 1 >= max(3, P.d + 1):
+            assert time == max(t[v[:c] + v[c + 1:]] for c in range(len(v)))
+
+
 # no quarter-grid simplex has its Rips or Cech time at one of these caps, so
 # moving a time by a few ulps cannot move a cell across the cap
 CAPS = [("rips", 0.3), ("rips", 0.6), ("rips", 1.5), ("cech", 0.15), ("cech", 0.3), ("cech", 1.0)]
@@ -81,8 +100,10 @@ def test_scaling_the_cloud_scales_the_diagram_exactly(P, cap, q_max, k):
 
 
 # an integer shift rounds uniform coordinates, so times may move by ulps; on
-# quarter-grid clouds Cech radii also move, since `_circumball` solves in
-# absolute coordinates, and only the Rips times there stay exact
+# quarter-grid clouds Cech radii also move, since `_circumballs` solves in
+# absolute coordinates for the simplices whose facet balls all miss their
+# omitted vertex (the facet rule of `_enclosing_balls`), and only the Rips
+# times there stay exact
 @settings(max_examples=100, deadline=None)
 @given(clouds, st.sampled_from(CAPS), st.integers(1, 3), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 def test_integer_translation_leaves_the_diagram_unchanged(P, cap, q_max, v):
