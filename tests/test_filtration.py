@@ -169,6 +169,26 @@ def test_cech_times_match_brute_force_enclosing_balls():
         _assert_cech_times_match_brute_force(pts, 1.5, 3)
 
 
+def test_cech_drops_a_candidate_whose_facet_entered_above_r_max():
+    # four points on a circle: the ball of triangle (0, 1, 2) holds vertex 3,
+    # and another facet's radius rounds a few ulps higher; at r_max equal to
+    # the time of (0, 1, 2), the tetrahedron's ball fits but that facet is out
+    pts = np.array([
+        [0.4159201833419432, 0.9928798884421514],
+        [0.01668131918820215, 0.3719255967090088],
+        [0.4211310399895771, 0.006259494119761011],
+        [0.9855600402635765, 0.38070437015869385],
+    ])
+    P = PointCloud(pts, Box((-1.0, -1.0), (2.0, 2.0)))
+    full = build(P, "cech", 1.0, 3)
+    t = dict(zip(full.verts, full.times.tolist()))
+    r_max = t[0, 1, 2]
+    assert max(t[v] for v in t if len(v) == 3) > r_max
+    present = set(build(P, "cech", r_max, 3).verts)
+    assert (0, 1, 2) in present and (0, 1, 2, 3) not in present
+    assert all(v[:c] + v[c + 1:] in present for v in present if len(v) > 1 for c in range(len(v)))
+
+
 def _reference_circumball(R):
     p0 = R[0]
     A = 2.0 * (np.asarray(R[1:]) - p0)
