@@ -113,6 +113,19 @@ def test_build_rejects_bad_r_max():
         build_cech(SQUARE, r_max=-1.0, q_max=1)
 
 
+def _cech_radius(pts):
+    """Radius of the smallest enclosing ball of pts, as `build` computes it:
+    the Cech time of the simplex on all of them."""
+    n, d = pts.shape
+    C = build(PointCloud(pts, Box((-1.0,) * d, (4.0,) * d)), "cech", 3.0, n - 1)
+    return dict(zip(C.verts, C.times.tolist()))[tuple(range(n))]
+
+
+def test_miniball_trivial_cases():
+    assert _cech_radius(np.array([[2.0, 3.0]])) == 0.0
+    assert abs(_cech_radius(np.array([[0.0, 0.0], [2.0, 0.0]])) - 1.0) <= 1e-12
+
+
 def _brute_miniball_radius(pts):
     """Exhaustive oracle: for every support set of 1 to d + 1 affinely
     independent points, the ball with them on its sphere and its center in
@@ -141,6 +154,13 @@ FIXED_TRIANGLES = [
     [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]],
     [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
 ]
+
+
+def test_miniball_against_brute_force():
+    # 12-point sets, past d + 1 points, enter at their largest facet time
+    rng = np.random.default_rng(23)
+    for pts in [*rng.random((10, 12, 2)), *rng.random((200, 3, 2)), *np.array(FIXED_TRIANGLES)]:
+        assert abs(_cech_radius(pts) - _brute_miniball_radius(pts)) <= 1e-9
 
 
 def _assert_cech_times_match_brute_force(pts, r_max, q_max):
