@@ -3,7 +3,8 @@
 Chains are bitmask integers, so all linear algebra is XOR on Python ints.
 `reduce` (persistent cohomology with clearing) and the stabilization radii
 index a chain of k-cells by their ranks within dimension k, and find facets
-through `_facet_ranks`.  `Echelon` is the one pivot-table kernel they feed.
+through `_facet_ranks`.  `Echelon`, an insert-only pivot table, is the one
+kernel they feed.
 `persistent_betti_direct` is the independent oracle: it recomputes ranks by
 its own dense elimination over `boundary_masks`, its own facet code, which
 indexes chains by the whole complex (bit i = cell i in the stored order).
@@ -92,11 +93,6 @@ class Echelon:
                 return low
             v ^= p
         return -1
-
-    def copy(self) -> "Echelon":
-        other = Echelon()
-        other.pivots = dict(self.pivots)
-        return other
 
 
 class UnionFind:

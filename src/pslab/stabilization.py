@@ -23,7 +23,9 @@ from .point_process import (
     PointCloud,
     RngSeed,
     csv_text,
+    lattice_cube,
     sample_poisson_homogeneous,
+    swap_window,
 )
 
 
@@ -173,13 +175,14 @@ class _GlobalComplex:
         By the pairing lemma both are ranks of boundary columns in the stored
         order: dim Z_q = #q-cells born by r - rank d_q(q-cells born by r), and
         dim(Z ^ B) = rank d_{q+1} - rank d_{q+1} restricted to the rows of
-        q-cells born after r (every cell of the complex enters by s).  The
-        column sets only grow with a, so each cell enters an echelon basis once.
+        q-cells born after r (every cell of the complex enters by s).  Those
+        rows are the ranks from early[q] up, and an echelon's lows are its
+        span's, so the difference counts the d_{q+1} pivots with low below
+        early[q].  The column sets only grow with a, so each cell enters an
+        echelon basis once.
         """
         C, masks = self.C, self.masks
-        # late[k]: the k-cells born after r, as an int over their ranks
-        late = [int.from_bytes(np.packbits(C.times[cells] > r, bitorder="little").tobytes(), "little")
-                for cells in self.cells]
+        early = [int((C.times[cells] <= r).sum()) for cells in self.cells]
         keep = self.cell_ball <= radii[-1] if len(radii) else np.zeros(C.n_cells, dtype=bool)
         if not with_q:
             keep = keep & ~self.cell_uses_q
@@ -187,11 +190,9 @@ class _GlobalComplex:
         cells = cells[np.argsort(self.cell_ball[cells], kind="stable")]
         born = [Echelon() for _ in range(d)]  # d_q columns of cells born by r, q >= 1
         alive = [Echelon() for _ in range(d)]  # d_{q+1} columns
-        late_rows = [Echelon() for _ in range(d)]  # d_{q+1} columns, rows born after r
         n_born = np.zeros(d, dtype=int)
         rank_born = np.zeros(d, dtype=int)
-        rank_alive = np.zeros(d, dtype=int)
-        rank_late = np.zeros(d, dtype=int)
+        n_early_lows = np.zeros(d, dtype=int)
         dim_z = np.zeros((len(radii), d), dtype=int)
         dim_zb = np.zeros((len(radii), d), dtype=int)
         ptr = 0
@@ -205,10 +206,9 @@ class _GlobalComplex:
                     if q:
                         rank_born[q] += born[q].insert(masks[i]) >= 0
                 if 1 <= q <= d:
-                    rank_alive[q - 1] += alive[q - 1].insert(masks[i]) >= 0
-                    rank_late[q - 1] += late_rows[q - 1].insert(masks[i] & late[q - 1]) >= 0
+                    n_early_lows[q - 1] += 0 <= alive[q - 1].insert(masks[i]) < early[q - 1]
             dim_z[row] = n_born - rank_born
-            dim_zb[row] = rank_alive - rank_late
+            dim_zb[row] = n_early_lows
         return dim_z, dim_zb
 
 
@@ -280,7 +280,7 @@ def strong_radius_estimate(
     """
     z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
     interaction = mu(kind, r)
-    G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
+    G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=max(q, 1))
     C = G.C
     new_ids = np.flatnonzero((C.dims == q) & G.cell_uses_q)
     # every simplex through Q at parameter r sits inside B(z, a*(r))
@@ -300,20 +300,26 @@ def strong_radius_estimate(
     edges = np.flatnonzero(C.dims == 1)
     edges = edges[np.argsort(G.cell_ball[edges], kind="stable")].tolist()
     next_base = next_point = next_edge = 0
-    unresolved = set(new_ids)
 
-    # Everything below only grows with R: the span of the base q-cells inside
-    # B(z, R), and the union-find over points within B(z, R) (for the locality
-    # certificate) with the largest distance to z per component.
-    base = Echelon()
+    # One echelon over boundaries shifted above an identity bit per new
+    # simplex (R = DV): a pivot with low j < shift has zero boundary and last
+    # new simplex j, so j's boundary is spanned by the base q-cells inside
+    # B(z, R) and earlier new simplices.  Discarding another low is a no-op.
+    # Everything below only grows with R: these lows, and the union-find over
+    # points within B(z, R) (for the locality certificate) with the largest
+    # distance to z per component.
+    shift = len(new_ids)
+    unresolved = set(range(shift))
+    ech = Echelon()
+    for j, i in enumerate(new_ids):
+        unresolved.discard(ech.insert(masks[i] << shift | 1 << j))
     sets = UnionFind(len(dist))
     comp_max: dict[int, float] = {}
 
     for R in horizons:
         while next_base < len(base_q) and G.cell_ball[base_q[next_base]] <= R:
-            base.insert(masks[base_q[next_base]])
+            unresolved.discard(ech.insert(masks[base_q[next_base]] << shift))
             next_base += 1
-        ech = base.copy()
         while next_point < len(points) and dist[points[next_point]] <= R:
             p = points[next_point]
             next_point += 1
@@ -326,16 +332,10 @@ def strong_radius_estimate(
                 ra, rb = merged
                 comp_max[rb] = max(comp_max[rb], comp_max.pop(ra))
 
-        for i in new_ids:
-            positive = ech.insert(masks[i]) < 0
-            if i not in unresolved:
-                continue
-            if positive:
-                unresolved.discard(i)
-                continue
-            roots = {sets.find(v) for v in C.verts[i]}
+        for j in list(unresolved):
+            roots = {sets.find(v) for v in C.verts[new_ids[j]]}
             if all(comp_max[rt] <= R - 2.0 * interaction for rt in roots):
-                unresolved.discard(i)
+                unresolved.discard(j)
         if not unresolved:
             return RadiusEstimate(float(R), False, 0.0)
     return RadiusEstimate(float(window_radius), True, 0.0)
@@ -358,8 +358,6 @@ def swap_difference(
 ) -> SwapDifferenceRecord:
     """Delta^{r,s}_z(B_n): persistent Betti change when the unit lattice cube at
     z is resampled from the coupled copy, both clouds cut to B_n."""
-    from .point_process import lattice_cube, swap_window
-
     z = np.asarray(z, dtype=float)
     d = P.d
     half = n ** (1.0 / d) / 2.0

@@ -99,23 +99,32 @@ def test_scaling_the_cloud_scales_the_diagram_exactly(P, cap, q_max, k):
     assert _triples(scaled) == [(q, a * b, a * d) for q, b, d in _triples(D)]
 
 
+def _cut_below(D, t):
+    """The pairs born below t, with every death at or above t read as inf."""
+    keep = D.births < t
+    return D.qs[keep], D.births[keep], np.where(D.deaths[keep] >= t, math.inf, D.deaths[keep])
+
+
 # an integer shift rounds uniform coordinates, so times may move by ulps; on
 # quarter-grid clouds Cech radii also move, since `_circumballs` solves in
 # absolute coordinates for the simplices whose facet balls all miss their
 # omitted vertex (the facet rule of `_enclosing_balls`), and only the Rips
-# times there stay exact
+# times there stay exact.  A time at r_max can so cross the cap, so the
+# diagrams are compared below r_max - 1e-9; the examples are a pair at exactly
+# the cap distance, whose 0.6 becomes 0.6000000000000001 after the shift
 @settings(max_examples=100, deadline=None)
 @given(clouds, st.sampled_from(CAPS), st.integers(1, 3), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@example(PointCloud(np.array([[0.0, 1.0], [0.0, 0.4]]), unit_box(2)), ("rips", 0.6), 1, (0, 1))
+@example(PointCloud(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.4]]), unit_box(2)), ("rips", 0.6), 2, (0, 1))
 def test_integer_translation_leaves_the_diagram_unchanged(P, cap, q_max, v):
     kind, r_max = cap
-    D = reduce(build(P, kind, r_max, q_max))
-    moved = reduce(build(P.translate(v), kind, r_max, q_max))
-    assert sorted(moved.qs.tolist()) == sorted(D.qs.tolist())
-    for q in set(D.qs.tolist()):
-        for times in ("births", "deaths"):
-            got = np.sort(getattr(moved, times)[moved.qs == q])
-            want = np.sort(getattr(D, times)[D.qs == q])
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    cut = r_max - 1e-9
+    qs, births, deaths = _cut_below(reduce(build(P, kind, r_max, q_max)), cut)
+    moved_qs, moved_births, moved_deaths = _cut_below(reduce(build(P.translate(v), kind, r_max, q_max)), cut)
+    assert sorted(moved_qs.tolist()) == sorted(qs.tolist())
+    for q in set(qs.tolist()):
+        for got, want in ((moved_births, births), (moved_deaths, deaths)):
+            np.testing.assert_allclose(np.sort(got[moved_qs == q]), np.sort(want[qs == q]), rtol=0.0, atol=1e-12)
 
 
 # Cech caps at half the Rips ones give the same edges; the oracle's cost grows

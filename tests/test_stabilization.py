@@ -3,7 +3,7 @@ import pytest
 
 from pslab.filtration import build, mu
 from pslab import stabilization
-from pslab.persistence import Echelon, RankQuery, boundary_masks, reduce
+from pslab.persistence import Echelon, RankQuery, UnionFind, boundary_masks, reduce
 from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_poisson_homogeneous
 from pslab.stabilization import (
     AddOneQuery,
@@ -248,19 +248,24 @@ def _radius_layer(P, Q, r, s, kind, w):
 
 def test_radius_layer_matches_whole_complex_masks(monkeypatch):
     """Per-dimension ranks relabel the bits of each boundary column
-    injectively, so D1, D2, the weak radii and the strong estimates must be
-    exactly those of the whole-complex masks."""
+    injectively, and the pivot lows of d_{q+1} below the first q-cell born
+    after r count the same rank difference as the rows masked to those born
+    after r, so D1, D2, the weak radii and the strong estimates must be
+    exactly those of the whole-complex masks.  Rips (0.5, 0.75) puts r at a
+    lattice distance, so cells born exactly at r sit on that boundary."""
     rng = np.random.default_rng(61)
-    for d, w, caps in ((2, 2.5, {"rips": (0.4, 0.6), "cech": (0.25, 0.4)}),
-                       (3, 1.8, {"rips": (0.5, 0.7), "cech": (0.3, 0.4)})):
+    for d, w, caps in ((2, 2.5, [("rips", 0.4, 0.6), ("rips", 0.5, 0.75), ("cech", 0.25, 0.4)]),
+                       (3, 1.8, [("rips", 0.5, 0.7), ("rips", 0.5, 0.75), ("cech", 0.3, 0.4)])):
         box = Box((-w,) * d, (w,) * d)
-        for kind, (r, s) in caps.items():
+        for kind, r, s in caps:
             for _ in range(3):
-                # half the points on a lattice of spacing 0.25 (ties), and a
-                # few of them repeated (duplicate points)
+                # half the points on a lattice of spacing 0.25 (ties), a few
+                # of them repeated (duplicate points), and a dozen more lattice
+                # points within 1 of z, where lattice distances meet Q
                 uniform = rng.uniform(-w, w, (rng.poisson((2.0 * w) ** d), d))
                 lattice = rng.integers(-4 * w, 4 * w + 1, (len(uniform), d)) / 4.0
-                pts = np.vstack([uniform, lattice, lattice[: len(lattice) // 8]])
+                patch = rng.integers(-4, 5, (12, d)) / 4.0
+                pts = np.vstack([uniform, lattice, lattice[: len(lattice) // 8], patch])
                 P = PointCloud(pts, box)
                 Q = np.array([[0.0] * d, [0.25] + [0.0] * (d - 1)])
                 new = _radius_layer(P, Q, r, s, kind, w)
@@ -272,6 +277,81 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
                 assert np.array_equal(new[1].d1, old[1].d1)
                 assert np.array_equal(new[1].d2, old[1].d2)
                 assert new[2] == old[2]
+
+
+def _strong_reference(P, Q, z, r, q, kind, w):
+    """The strong positivity loop with one echelon copy per horizon: at each
+    horizon R the base q-cells inside B(z, R) are copied into a fresh echelon
+    and every new simplex is inserted again; a new simplex is positive when
+    its boundary is already in the span."""
+    z, Q, w, a_star = stabilization._radius_setup(P, Q, z, r, kind, w)
+    interaction = mu(kind, r)
+    G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
+    C = G.C
+    new_ids = np.flatnonzero((C.dims == q) & G.cell_uses_q).tolist()
+    if not new_ids:
+        return RadiusEstimate(float(a_star), False, 0.0)
+    dist = G.point_dist
+    horizons = np.unique(np.concatenate([dist[(dist > a_star) & (dist <= w)], [a_star, w]]))
+    base_q = np.flatnonzero((C.dims == q) & ~G.cell_uses_q)
+    base_q = base_q[np.argsort(G.cell_ball[base_q], kind="stable")].tolist()
+    edges = np.flatnonzero(C.dims == 1)
+    edges = edges[np.argsort(G.cell_ball[edges], kind="stable")].tolist()
+    unresolved = set(new_ids)
+    base = Echelon()
+    next_base = 0
+    for R in horizons:
+        while next_base < len(base_q) and G.cell_ball[base_q[next_base]] <= R:
+            base.insert(G.masks[base_q[next_base]])
+            next_base += 1
+        ech = Echelon()
+        ech.pivots = dict(base.pivots)
+        # components of the points within B(z, R), by brute force
+        sets = UnionFind(len(dist))
+        for e in edges:
+            if G.cell_ball[e] <= R:
+                sets.union(*C.verts[e])
+        comp_max = {}
+        for p in np.flatnonzero(dist <= R).tolist():
+            root = sets.find(p)
+            comp_max[root] = max(comp_max.get(root, 0.0), float(dist[p]))
+        for i in new_ids:
+            positive = ech.insert(G.masks[i]) < 0
+            if i not in unresolved:
+                continue
+            if positive or all(comp_max[sets.find(v)] <= R - 2.0 * interaction for v in C.verts[i]):
+                unresolved.discard(i)
+        if not unresolved:
+            return RadiusEstimate(float(R), False, 0.0)
+    return RadiusEstimate(float(w), True, 0.0)
+
+
+def test_strong_estimate_matches_per_horizon_echelon_copies():
+    """The lows below the new simplices' identity bits of one echelon are the
+    positive new simplices, so the strong estimate must equal the loop that
+    copies the base echelon at every horizon, at every q < d."""
+    rng = np.random.default_rng(67)
+    checked = censored = 0
+    for d, w, caps in ((2, 2.0, [("rips", 0.5), ("rips", 0.6), ("cech", 0.3)]),
+                       (3, 1.5, [("rips", 0.5), ("cech", 0.35)])):
+        box = Box((-w,) * d, (w,) * d)
+        for kind, r in caps:
+            for m in range(1, 7):
+                uniform = rng.uniform(-w, w, (rng.poisson(0.75 * (2.0 * w) ** d), d))
+                lattice = rng.integers(-4 * w, 4 * w + 1, (len(uniform) // 2, d)) / 4.0
+                P = PointCloud(np.vstack([uniform, lattice]), box)
+                # half the added points on the lattice too, all near z
+                Q = rng.uniform(-0.5, 0.5, (m, d))
+                Q[: m // 2] = np.round(Q[: m // 2] * 4.0) / 4.0
+                Q = np.unique(Q, axis=0)
+                z = np.zeros(d)
+                for q in range(d):
+                    want = _strong_reference(P, Q, z, r, q, kind, w)
+                    assert strong_radius_estimate(P, Q, z, r, q, kind, window_radius=w) == want
+                    checked += 1
+                    censored += want.censored
+    assert checked == 6 * 3 * 2 + 6 * 2 * 3
+    assert 0 < censored < checked
 
 
 # -- swap differences -------------------------------------------------------
