@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-REJECTION_CAP = 10**6
+REJECTION_CAP = 10**6  # rejected attempts allowed before any one binomial point
+_BLOCK_ROWS_MIN, _BLOCK_ROWS_MAX = 64, 2**16  # attempts drawn at once by sample_binomial
 
 
 class DomainError(ValueError):
@@ -204,7 +205,12 @@ def cloud_from_csv(text: str, window: Window) -> PointCloud:
 
 @dataclass(frozen=True)
 class Density:
-    """A probability density on [0,1]^d, bounded away from 0 and infinity."""
+    """A probability density on [0,1]^d, bounded away from 0 and infinity.
+
+    The evaluator is row-wise: given an (N, d) array it returns the N values
+    of the density at its rows, shape (N,).  Samplers evaluate whole blocks
+    of points in one call.
+    """
 
     d: int
     kind: str  # constant | blocked | callable
@@ -221,7 +227,10 @@ class Density:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self.evaluator(x), dtype=float)
+        values = np.asarray(self.evaluator(x), dtype=float)
+        if values.shape != (x.shape[0],):
+            raise DomainError(f"density evaluator returned shape {values.shape} for {x.shape[0]} rows, not one value per row")
+        return values
 
     def to_json(self) -> dict:
         return {"d": self.d, "kind": self.kind, **self.descriptor}
@@ -325,21 +334,35 @@ def sample_poisson_inhomogeneous(density: Density, n: float, seed: RngSeed) -> P
 
 
 def sample_binomial(n: int, density: Density, seed: RngSeed) -> PointCloud:
-    """Exactly n i.i.d. points with the given density (rejection sampling)."""
+    """Exactly n i.i.d. points with the given density (rejection sampling).
+
+    Attempt j is row j of a block rng.random((rows, d + 1)): a point in its
+    first d doubles and a mark in its last, the same doubles as one
+    rng.random(d) and one rng.random() per attempt.  Rows are accepted in
+    order while mark * sup_bound <= density(point); the generator is local to
+    the call, so rows drawn past the n-th acceptance are never seen.  It raises
+    DomainError once REJECTION_CAP rows in a row, counted across blocks, are
+    rejected before one point.
+    """
     if n < 0:
         raise DomainError("point count must be nonnegative")
-    box = unit_box(density.d)
+    d, sup = density.d, density.sup_bound
     rng = seed.generator()
-    pts = np.empty((n, density.d))
-    for i in range(n):
-        for attempt in range(REJECTION_CAP):
-            x = rng.random(density.d)
-            if rng.random() * density.sup_bound <= float(density(x[None, :])[0]):
-                pts[i] = x
-                break
-        else:
+    pts = np.empty((n, d))
+    got = run = 0  # points accepted; rejected rows since the last acceptance
+    while got < n:
+        # about one block for the missing points, doubling while a run of
+        # rejections outgrows it, and bounded however loose the sup_bound is
+        rows = int(min(_BLOCK_ROWS_MAX, max(_BLOCK_ROWS_MIN, 1.25 * (n - got) * sup, run)))
+        u = rng.random((rows, d + 1))
+        hit = np.flatnonzero(u[:, d] * sup <= density(u[:, :d]))[: n - got]
+        gaps = np.diff(hit, prepend=-1 - run) - 1  # rejected rows before each hit
+        run = rows - 1 - int(hit[-1]) if hit.size else run + rows
+        pts[got : got + hit.size] = u[hit, :d]
+        got += hit.size
+        if gaps.max(initial=0) >= REJECTION_CAP or (got < n and run >= REJECTION_CAP):
             raise DomainError("rejection sampling exceeded retry cap; density is inconsistent with sup_bound")
-    return PointCloud(pts, box)
+    return PointCloud(pts, unit_box(d))
 
 
 def lattice_cube(z: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

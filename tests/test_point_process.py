@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pslab import point_process
 from pslab.point_process import (
     BlockedDensity,
     Box,
@@ -113,6 +116,120 @@ def test_binomial_uniformity():
         stat = ((obs - 500 / 16.0) ** 2 / (500 / 16.0)).sum()
         ok += stat < crit
     assert ok >= 190
+
+
+def _binomial_reference(n, density, seed):
+    """The per-attempt rejection loop that sample_binomial replaced: one
+    rng.random(d) and one rng.random() per attempt, REJECTION_CAP attempts
+    per point."""
+    rng = seed.generator()
+    pts = np.empty((n, density.d))
+    for i in range(n):
+        for attempt in range(point_process.REJECTION_CAP):
+            x = rng.random(density.d)
+            if rng.random() * density.sup_bound <= float(density(x[None, :])[0]):
+                pts[i] = x
+                break
+        else:
+            raise DomainError("rejection sampling exceeded retry cap; density is inconsistent with sup_bound")
+    return pts
+
+
+def _outcome(draw):
+    """The points that draw() returns, or None where it raises DomainError."""
+    try:
+        return draw()
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_binomial_matches_per_attempt_loop(d):
+    # blocks draw the same doubles in the same order as the loop, so every
+    # cloud is the loop's cloud, byte for byte
+    peak = 3.0
+    blocked = BlockedDensity(d, 2, (peak,) + ((2**d - peak) / (2**d - 1),) * (2**d - 1)).as_density()
+    for density in (constant_density(d), blocked):
+        for seed in range(6):
+            for n in (0, 1, 7, 250, 1000):
+                sd = RngSeed(200 + seed, d)
+                got = sample_binomial(n, density, sd).points
+                assert got.shape == (n, d)
+                assert got.tobytes() == _binomial_reference(n, density, sd).tobytes()
+
+
+def test_binomial_cap_raises_for_density_far_below_sup_bound(monkeypatch):
+    # the evaluator accepts a mark only if it is exactly 0.0
+    zero = Density(2, "callable", 1.0, 1.0, lambda x: np.zeros(x.shape[0]))
+    tiny = Density(2, "callable", 1e6, 1.0, lambda x: np.ones(x.shape[0]))
+    # at the real cap: blocks are bounded, so the sampler never holds
+    # REJECTION_CAP attempts at once
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            sample_binomial(5, zero, RngSeed(30, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < point_process.REJECTION_CAP * 3 * 8 / 4
+    monkeypatch.setattr(point_process, "REJECTION_CAP", 25)
+    for seed in range(5):
+        for density in (zero, tiny):
+            with pytest.raises(DomainError):
+                sample_binomial(3, density, RngSeed(31, seed))
+
+
+def test_binomial_cap_is_per_point_across_blocks(monkeypatch):
+    # sup_bound 1 with density 1/20 everywhere: blocks of 64 rows hold about
+    # three acceptances each, so runs of rejections straddle block boundaries
+    thin = Density(2, "callable", 1.0, 0.05, lambda x: np.full(x.shape[0], 0.05))
+    raised = returned = 0
+    for cap in (30, 80):
+        monkeypatch.setattr(point_process, "REJECTION_CAP", cap)
+        for seed in range(40):
+            sd = RngSeed(32, seed)
+            want = _outcome(lambda: _binomial_reference(50, thin, sd))
+            got = _outcome(lambda: sample_binomial(50, thin, sd).points)
+            assert (got is None) == (want is None)
+            if want is None:
+                raised += 1
+            else:
+                returned += 1
+                assert got.tobytes() == want.tobytes()
+    assert raised and returned
+    # at the smallest cap the loop survives, the sampler returns the same
+    # points; one below it, both raise
+    for seed in range(3):
+        sd = RngSeed(33, seed)
+        lo, hi = 1, 400  # the loop raises at lo and survives at hi
+        monkeypatch.setattr(point_process, "REJECTION_CAP", hi)
+        assert _outcome(lambda: _binomial_reference(50, thin, sd)) is not None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            monkeypatch.setattr(point_process, "REJECTION_CAP", mid)
+            if _outcome(lambda: _binomial_reference(50, thin, sd)) is None:
+                lo = mid
+            else:
+                hi = mid
+        monkeypatch.setattr(point_process, "REJECTION_CAP", hi)
+        assert sample_binomial(50, thin, sd).points.tobytes() == _binomial_reference(50, thin, sd).tobytes()
+        monkeypatch.setattr(point_process, "REJECTION_CAP", hi - 1)
+        with pytest.raises(DomainError):
+            sample_binomial(50, thin, sd)
+
+
+def test_density_evaluator_must_be_row_wise():
+    rows = np.full((5, 2), 0.5)
+    scalar = Density(2, "callable", 1.0, 1.0, lambda x: 1.0)
+    column = Density(2, "callable", 1.0, 1.0, lambda x: np.ones((x.shape[0], 1)))
+    short = Density(2, "callable", 1.0, 1.0, lambda x: np.ones(1))
+    for density in (scalar, column, short):
+        with pytest.raises(DomainError):
+            density(rows)
+        with pytest.raises(DomainError):
+            sample_binomial(10, density, RngSeed(34, 0))
+    assert np.array_equal(constant_density(2)(rows), np.ones(5))
+    assert constant_density(2)(np.empty((0, 2))).shape == (0,)
 
 
 def test_blocked_normalization_enforced():
