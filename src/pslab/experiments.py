@@ -438,8 +438,9 @@ def radius_tail_experiment(
     d: int = 2,
     kind: str = "rips",
 ) -> TailTable:
-    """Empirical survival of the weak radius and of the strong-radius
-    surrogate; censored replicates count as exceedances (conservative)."""
+    """Empirical survival of the weak radius and of the strong radius's
+    cluster-locality horizon, an upper bound that is finite only below
+    percolation; censored replicates count as exceedances (conservative)."""
     if reps < 1:
         raise DomainError("radius tails need at least one replicate")
     L_grid = sorted(float(L) for L in L_grid)

@@ -2,9 +2,11 @@
 
 The weak radius is computed event-by-event: the restricted complexes can only
 change when the ball B(z, a) gains a point, so probing the point distances is
-exact.  The strong radius is a certified UPPER BOUND: each new q-simplex is
-resolved either by an F2 positivity test or by a locality certificate; the
-exact stopping-time condition is not computable from a finite window.
+exact.  The strong radius is bounded from above by a cluster-locality
+horizon: the first probe radius at which every cluster of the mu(r)-graph that
+holds a new simplex lies well inside the probe ball.  It is finite only below
+percolation; the exact stopping-time condition is not computable from a finite
+window.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float
     """z and the added points Q as float arrays, the window radius (by default
     the largest ball around z inside P's window), and a*(t) = max |Q - z| +
     mu(t), which the window radius must reach."""
+    if t < 0:
+        raise DomainError(f"filtration time {t} must be nonnegative")
     z = np.asarray(z, dtype=float)
     Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
     if window_radius is None:
@@ -221,8 +225,8 @@ def stabilization_trace(
     kind: str = "rips",
     window_radius: float | None = None,
 ) -> StabilizationTrace:
-    if r > s:
-        raise DomainError("weak radius needs r <= s")
+    if not 0 <= r <= s:
+        raise DomainError("weak radius needs 0 <= r <= s")
     z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
     events = np.unique(G.point_dist[G.point_dist <= window_radius])
@@ -256,7 +260,7 @@ def weak_radius(
 
 
 # ---------------------------------------------------------------------------
-# Strong radius surrogate
+# Strong radius: cluster-locality horizon
 # ---------------------------------------------------------------------------
 
 
@@ -269,75 +273,48 @@ def strong_radius_estimate(
     kind: str = "rips",
     window_radius: float | None = None,
 ) -> RadiusEstimate:
-    """Upper-bound surrogate for the strong stabilization radius.
+    """Cluster-locality horizon: an upper bound on the strong radius.
 
-    Every q-simplex of K(P u Q)_r not in K(P)_r must be resolved: certified
-    positive (its boundary is spanned by boundaries of base q-cells and earlier
-    new simplices inside B(z, R)) or certified permanently negative (the
-    component of its star stays clear of the boundary collar of width 2 mu(r),
-    so no unseen point can complete a cycle through it).  The reported horizon
-    only grows under the surrogate; it dominates the exact radius.
+    The clusters are the components of the mu(r)-graph on the points in
+    B(z, w), w the window radius, whose edges are the complex's edges, so the
+    vertices of a simplex share one cluster.  The estimate is the first probe
+    radius R >= a*(r) at which every cluster holding a new q-simplex (one
+    through Q) lies inside B(z, R - 2 mu(r)): no point outside B(z, R) can
+    then join such a cluster.  That is the test on the cluster cut to B(z, R),
+    since a cut cluster inside B(z, R - 2 mu(r)) has all its neighbours within
+    R - mu(r), so it is the whole cluster.  Past percolation the clusters are
+    unbounded and the estimate is censored at w.  At q = 0 every new vertex
+    has zero boundary, so it is positive at once and the estimate is a*(r).
     """
     z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
-    interaction = mu(kind, r)
-    G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=max(q, 1))
-    C = G.C
-    new_ids = np.flatnonzero((C.dims == q) & G.cell_uses_q)
-    # every simplex through Q at parameter r sits inside B(z, a*(r))
-    assert np.all(G.cell_ball[new_ids] <= a_star + 1e-9)
-    new_ids = new_ids.tolist()
-    if not new_ids:
+    if q == 0:
         return RadiusEstimate(float(a_star), False, 0.0)
+    pts = np.vstack([P.points, Q]) if P.n else Q
+    C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q)
+    dist = np.linalg.norm(pts - z, axis=1)
 
-    dist = G.point_dist
-    horizons = np.unique(np.concatenate([dist[(dist > a_star) & (dist <= window_radius)], [a_star, window_radius]]))
-    masks = G.masks
-    base_q = np.flatnonzero((C.dims == q) & ~G.cell_uses_q)
-    base_q = base_q[np.argsort(G.cell_ball[base_q], kind="stable")].tolist()
-    points = np.argsort(dist, kind="stable").tolist()
-    # the complex's edges are the pairs within mu(r), each entering B(z, R)
-    # at its cell ball radius
-    edges = np.flatnonzero(C.dims == 1)
-    edges = edges[np.argsort(G.cell_ball[edges], kind="stable")].tolist()
-    next_base = next_point = next_edge = 0
+    def rows(k):
+        return np.array([C.verts[i] for i in np.flatnonzero(C.dims == k).tolist()], dtype=np.intp).reshape(-1, k + 1)
 
-    # One echelon over boundaries shifted above an identity bit per new
-    # simplex (R = DV): a pivot with low j < shift has zero boundary and last
-    # new simplex j, so j's boundary is spanned by the base q-cells inside
-    # B(z, R) and earlier new simplices.  Discarding another low is a no-op.
-    # Everything below only grows with R: these lows, and the union-find over
-    # points within B(z, R) (for the locality certificate) with the largest
-    # distance to z per component.
-    shift = len(new_ids)
-    unresolved = set(range(shift))
-    ech = Echelon()
-    for j, i in enumerate(new_ids):
-        unresolved.discard(ech.insert(masks[i] << shift | 1 << j))
-    sets = UnionFind(len(dist))
-    comp_max: dict[int, float] = {}
+    # vertex rows are ascending, so a new simplex has its last vertex in Q
+    new = rows(q)
+    new = new[new[:, -1] >= P.n]
+    if not len(new):
+        return RadiusEstimate(float(a_star), False, 0.0)
+    # every simplex through Q at parameter r sits inside B(z, a*(r))
+    assert dist[new].max() <= a_star + 1e-9
 
-    for R in horizons:
-        while next_base < len(base_q) and G.cell_ball[base_q[next_base]] <= R:
-            unresolved.discard(ech.insert(masks[base_q[next_base]] << shift))
-            next_base += 1
-        while next_point < len(points) and dist[points[next_point]] <= R:
-            p = points[next_point]
-            next_point += 1
-            comp_max[p] = float(dist[p])  # a point joins its component only via later pairs
-        while next_edge < len(edges) and G.cell_ball[edges[next_edge]] <= R:
-            a, b = C.verts[edges[next_edge]]
-            next_edge += 1
-            merged = sets.union(a, b)
-            if merged is not None:
-                ra, rb = merged
-                comp_max[rb] = max(comp_max[rb], comp_max.pop(ra))
-
-        for j in list(unresolved):
-            roots = {sets.find(v) for v in C.verts[new_ids[j]]}
-            if all(comp_max[rt] <= R - 2.0 * interaction for rt in roots):
-                unresolved.discard(j)
-        if not unresolved:
-            return RadiusEstimate(float(R), False, 0.0)
+    inside = dist <= window_radius
+    edges = rows(1)
+    sets = UnionFind(len(pts))
+    for a, b in edges[inside[edges].all(axis=1)].tolist():
+        sets.union(a, b)
+    roots = {sets.find(v) for v in new[:, 0].tolist()}
+    reach = max(float(dist[p]) for p in np.flatnonzero(inside).tolist() if sets.find(p) in roots)
+    horizons = np.unique(np.concatenate([dist[(dist > a_star) & inside], [a_star, window_radius]]))
+    settled = np.flatnonzero(reach <= horizons - 2.0 * mu(kind, r))
+    if len(settled):
+        return RadiusEstimate(float(horizons[settled[0]]), False, 0.0)
     return RadiusEstimate(float(window_radius), True, 0.0)
 
 

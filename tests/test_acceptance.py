@@ -236,8 +236,9 @@ def test_criterion_9_radius_tightness():
         surv = [r["survival"] for r in sorted(rows, key=lambda r: r["L"])]
         if any(a < b for a, b in zip(surv, surv[1:])):
             monotone = False
-    # the tightness guarantee is for the weak radius; the strong surrogate is
-    # an upper bound and is only reported alongside
+    # the tightness guarantee is for the weak radius; the strong radius's
+    # cluster-locality horizon is an upper bound, finite only below
+    # percolation, and is only reported alongside
     best = None
     for L in L_grid:
         worst = max(

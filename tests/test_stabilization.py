@@ -196,9 +196,7 @@ def test_global_complex_cell_radii_match_per_cell_loop():
 class _WholeComplexMasks(_GlobalComplex):
     """Reference radius layer with whole-complex facet bits: boundary columns
     are `boundary_masks` (bit j = cell j in the stored order), and
-    `pair_counts` masks rows with one int as wide as the complex.
-    `strong_radius_estimate` run on it does its positivity test on these
-    masks."""
+    `pair_counts` masks rows with one int as wide as the complex."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -240,19 +238,16 @@ class _WholeComplexMasks(_GlobalComplex):
 
 
 def _radius_layer(P, Q, r, s, kind, w):
-    z = np.zeros(P.d)
-    est, trace = weak_radius(P, Q, z, r, s, kind=kind, window_radius=w, return_trace=True)
-    strong = [strong_radius_estimate(P, Q, z, t, q, kind, window_radius=w) for t in (r, s) for q in range(P.d)]
-    return est, trace, strong
+    return weak_radius(P, Q, np.zeros(P.d), r, s, kind=kind, window_radius=w, return_trace=True)
 
 
 def test_radius_layer_matches_whole_complex_masks(monkeypatch):
     """Per-dimension ranks relabel the bits of each boundary column
     injectively, and the pivot lows of d_{q+1} below the first q-cell born
     after r count the same rank difference as the rows masked to those born
-    after r, so D1, D2, the weak radii and the strong estimates must be
-    exactly those of the whole-complex masks.  Rips (0.5, 0.75) puts r at a
-    lattice distance, so cells born exactly at r sit on that boundary."""
+    after r, so D1, D2 and the weak radii must be exactly those of the
+    whole-complex masks.  Rips (0.5, 0.75) puts r at a lattice distance, so
+    cells born exactly at r sit on that boundary."""
     rng = np.random.default_rng(61)
     for d, w, caps in ((2, 2.5, [("rips", 0.4, 0.6), ("rips", 0.5, 0.75), ("cech", 0.25, 0.4)]),
                        (3, 1.8, [("rips", 0.5, 0.7), ("rips", 0.5, 0.75), ("cech", 0.3, 0.4)])):
@@ -276,14 +271,14 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
                 assert np.array_equal(new[1].radii, old[1].radii)
                 assert np.array_equal(new[1].d1, old[1].d1)
                 assert np.array_equal(new[1].d2, old[1].d2)
-                assert new[2] == old[2]
 
 
 def _strong_reference(P, Q, z, r, q, kind, w):
     """The strong positivity loop with one echelon copy per horizon: at each
     horizon R the base q-cells inside B(z, R) are copied into a fresh echelon
-    and every new simplex is inserted again; a new simplex is positive when
-    its boundary is already in the span."""
+    and every new simplex is inserted again; a new simplex is resolved when
+    its boundary is already in the span (positive) or when the components of
+    its vertices in B(z, R) lie inside B(z, R - 2 mu(r)) (locality)."""
     z, Q, w, a_star = stabilization._radius_setup(P, Q, z, r, kind, w)
     interaction = mu(kind, r)
     G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
@@ -327,9 +322,11 @@ def _strong_reference(P, Q, z, r, q, kind, w):
 
 
 def test_strong_estimate_matches_per_horizon_echelon_copies():
-    """The lows below the new simplices' identity bits of one echelon are the
-    positive new simplices, so the strong estimate must equal the loop that
-    copies the base echelon at every horizon, at every q < d."""
+    """The cluster-locality horizon has no positivity test, so this checks
+    that positivity never changes the result: the first new simplex on a
+    facet through Q cannot be positive, and the new simplices of one cluster
+    share their locality test.  The estimate must equal the reference loop
+    with its per-horizon positivity test, at every q < d."""
     rng = np.random.default_rng(67)
     checked = censored = 0
     for d, w, caps in ((2, 2.0, [("rips", 0.5), ("rips", 0.6), ("cech", 0.3)]),
@@ -352,6 +349,58 @@ def test_strong_estimate_matches_per_horizon_echelon_copies():
                     censored += want.censored
     assert checked == 6 * 3 * 2 + 6 * 2 * 3
     assert 0 < censored < checked
+
+
+def test_radii_reject_negative_time_and_unknown_kind():
+    P = sample_poisson_homogeneous(1.0, Box((-3.0, -3.0), (3.0, 3.0)), RngSeed(11, 0))
+    Q, z = np.zeros((1, 2)), np.zeros(2)
+    for q in (0, 1):
+        with pytest.raises(DomainError, match="nonnegative"):
+            strong_radius_estimate(P, Q, z, -0.1, q, window_radius=3.0)
+        with pytest.raises(DomainError, match="unknown filtration kind"):
+            strong_radius_estimate(P, Q, z, 0.5, q, kind="alpha", window_radius=3.0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        stabilization._radius_setup(P, Q, z, -0.1, "rips", 3.0)
+    for r, s in ((-0.1, -0.1), (-0.1, 0.5), (0.7, 0.5)):
+        with pytest.raises(DomainError, match="0 <= r <= s"):
+            weak_radius(P, Q, z, r, s, window_radius=3.0)
+    with pytest.raises(DomainError, match="unknown filtration kind"):
+        weak_radius(P, Q, z, 0.5, 0.7, kind="alpha", window_radius=3.0)
+
+
+def test_strong_estimate_at_q0_is_a_star_without_a_build(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called at q = 0")
+
+    monkeypatch.setattr(stabilization, "build", no_build)
+    rng = np.random.default_rng(71)
+    for rep in range(12):
+        d = 2 + rep % 2
+        box = Box((-3.0,) * d, (3.0,) * d)
+        P = sample_poisson_homogeneous(2.0, box, RngSeed(71, rep))
+        Q = rng.uniform(-0.5, 0.5, (1 + rep % 3, d))
+        z = rng.uniform(-0.2, 0.2, d)
+        for kind, r in (("rips", 0.5), ("cech", 0.3)):
+            a_star = stabilization._radius_setup(P, Q, z, r, kind, None)[3]
+            assert strong_radius_estimate(P, Q, z, r, 0, kind) == RadiusEstimate(a_star, False, 0.0)
+
+
+def test_strong_estimate_is_censored_past_percolation():
+    """Rips at r = 0.5: mean degree pi r^2 lambda is 0.8 at lambda = 1 and 6.3
+    at lambda = 8, on either side of the Gilbert threshold (about 4.51).  The
+    cluster of the added point is bounded below it and spans the window past
+    it, so the horizon is finite in every cloud below and censored in every
+    cloud past."""
+    box = Box((-5.0, -5.0), (5.0, 5.0))
+    for lam, want in ((1.0, 0), (8.0, 20)):
+        censored = sum(
+            strong_radius_estimate(
+                sample_poisson_homogeneous(lam, box, RngSeed(12, rep)), np.zeros((1, 2)), np.zeros(2), 0.5, 1,
+                window_radius=5.0,
+            ).censored
+            for rep in range(20)
+        )
+        assert censored == want
 
 
 # -- swap differences -------------------------------------------------------
