@@ -9,6 +9,7 @@ enclosing ball of its vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 # the LAPACK gelsd gufunc behind numpy's lstsq, which solves a stack in one call
@@ -108,6 +109,15 @@ class FilteredComplex:
     @property
     def n_cells(self) -> int:
         return len(self.verts)
+
+    def vertex_rows(self, top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per dimension k <= top: the stored positions of the k-cells,
+        ascending, and their m_k x (k + 1) vertex rows, each ascending."""
+        sizes = self.dims + 1
+        flat = np.fromiter(chain.from_iterable(self.verts), dtype=np.intp, count=int(sizes.sum()))
+        start = np.cumsum(sizes) - sizes
+        cells = [np.flatnonzero(self.dims == k) for k in range(top + 1)]
+        return cells, [flat[start[idx][:, None] + np.arange(k + 1)] for k, idx in enumerate(cells)]
 
     def event_times(self) -> np.ndarray:
         return np.unique(self.times)
@@ -246,7 +256,8 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     dims_arr = np.concatenate([np.full(len(s), k, dtype=int) for k, s in enumerate(simplices)])
     within = np.concatenate([np.arange(len(s)) for s in simplices])
     order = np.lexsort((within, dims_arr, times_arr))
-    verts = [tuple(v) for s in simplices for v in s.tolist()]
+    # zipping the columns makes the tuples faster than tuple() on each row
+    verts = [v for s in simplices for v in zip(*s.T.tolist())]
     verts = [verts[k] for k in order.tolist()]
     return FilteredComplex(P.d, kind, q_max, r_max, verts, times_arr[order], dims_arr[order], pts)
 

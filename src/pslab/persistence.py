@@ -4,7 +4,10 @@ Chains are bitmask integers, so all linear algebra is XOR on Python ints.
 `reduce` (persistent cohomology with clearing) and the stabilization radii
 index a chain of k-cells by their ranks within dimension k, and find facets
 through `_facet_ranks`.  `Echelon`, an insert-only pivot table, is the one
-kernel they feed.
+kernel they feed.  `reduce` skips most of the work by emergent pairs (Bauer
+2021, Ripser): a column whose low no pivot holds is already reduced, so it is
+paired at once and kept as a lazy pivot, whose int is built only if a later
+column's reduction lands on its low.
 `persistent_betti_direct` is the independent oracle: it recomputes ranks by
 its own dense elimination over `boundary_masks`, its own facet code, which
 indexes chains by the whole complex (bit i = cell i in the stored order).
@@ -16,7 +19,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -76,10 +78,21 @@ def diagram_from_csv(text: str, kind: str = "", q_max: int = 0, r_max: float = m
 
 class Echelon:
     """Incremental F2 echelon basis: each stored column is keyed by its low,
-    the index of its highest set bit."""
+    the index of its highest set bit.  A pivot may be held lazily, as ~key for
+    the nonnegative key of a column whose low is known: `insert` builds its int
+    through the `column` callback only when a reduction lands on that low."""
 
-    def __init__(self):
+    def __init__(self, column=None):
         self.pivots: dict[int, int] = {}
+        self.column = column
+
+    def claim(self, low: int, key: int) -> bool:
+        """Hold column `key`, whose low is `low`, as a lazy pivot, unless a
+        pivot already holds that low.  Returns whether it was claimed."""
+        if low in self.pivots:
+            return False
+        self.pivots[low] = ~key
+        return True
 
     def insert(self, v: int) -> int:
         """Reduce v against the basis and store what remains.  Returns the low
@@ -91,6 +104,8 @@ class Echelon:
             if p is None:
                 pivots[low] = v
                 return low
+            if p < 0:
+                p = pivots[low] = self.column(~p)
             v ^= p
         return -1
 
@@ -119,19 +134,15 @@ class UnionFind:
 
 
 def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Per dimension k <= top: the stored positions of the k-cells, ascending;
-    their m_k x (k + 1) vertex rows, each ascending; and (for k >= 1) an
-    m_k x (k + 1) array whose row b holds the ranks among the (k-1)-cells of
-    the facets of the k-cell of rank b.  A rank is a position within one
-    dimension, in the complex's stored order."""
-    sizes = C.dims + 1
-    flat = np.fromiter(chain.from_iterable(C.verts), dtype=np.intp, count=int(sizes.sum()))
-    start = np.cumsum(sizes) - sizes
-    cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
-    rows = [flat[start[idx][:, None] + np.arange(k + 1)] for k, idx in enumerate(cells)]
+    """Per dimension k <= top: the stored positions and vertex rows of
+    `FilteredComplex.vertex_rows`, and (for k >= 1) an m_k x (k + 1) array
+    whose row b holds the ranks among the (k-1)-cells of the facets of the
+    k-cell of rank b.  A rank is a position within one dimension, in the
+    complex's stored order."""
+    cells, rows = C.vertex_rows(top)
     # `_lookup` keys a vertex by its id and a higher simplex by its position in
     # the lexicographic order of its dimension; to_rank maps either to a rank
-    n = int(flat.max(initial=-1)) + 1
+    n = int(rows[0].max(initial=-1)) + 1
     to_rank = [np.zeros(n, dtype=np.intp)]
     to_rank[0][rows[0][:, 0]] = np.arange(len(cells[0]))
     codes: list = [None]
@@ -158,6 +169,11 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     death (k+1)-cell of its low.  A k-cell that was a death in dimension k - 1
     has a coboundary that can only reduce to zero and is skipped (clearing),
     and no column of dimension q_max is formed, since its classes are dropped.
+    A column's low is its first CSR cofacet bit.  When no pivot holds it, the
+    column is emergent: it is paired at once and claimed as a lazy pivot,
+    keyed by its cell, and `Echelon.insert` builds its int only when a later
+    reduction lands on that low.  The echelon holds the same pivots as one
+    that inserted every column, so the pairs are the same.
     """
     ends = np.full(C.n_cells, math.inf)  # death time of the class each cell creates
     killed = np.zeros(C.n_cells, dtype=bool)
@@ -171,16 +187,27 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
             cofacet = np.argsort(by_facet, kind="stable") // (k + 2)
             bits = (width - 1 - cofacet).tolist()
             ptr = np.concatenate([[0], np.cumsum(np.bincount(by_facet, minlength=len(cells[k])))]).tolist()
-            insert = Echelon().insert
+
+            def column(a):
+                v = 0
+                for bit in bits[ptr[a]:ptr[a + 1]]:
+                    v |= 1 << bit
+                return v
+
+            echelon = Echelon(column)
+            claim, insert = echelon.claim, echelon.insert
             births, deaths = [], []
             for a in np.flatnonzero(~killed[cells[k]])[::-1].tolist():
-                column = 0
-                for bit in bits[ptr[a]:ptr[a + 1]]:
-                    column |= 1 << bit
-                low = insert(column)
-                if low >= 0:
-                    births.append(a)
-                    deaths.append(width - 1 - low)
+                # the low is the first bit; a free low is an emergent pair
+                start = ptr[a]
+                if start < ptr[a + 1] and claim(bits[start], a):
+                    low = bits[start]
+                else:
+                    low = insert(column(a))
+                    if low < 0:
+                        continue
+                births.append(a)
+                deaths.append(width - 1 - low)
             dead = cells[k + 1][deaths]
             ends[cells[k][births]] = C.times[dead]
             killed[dead] = True

@@ -292,20 +292,16 @@ def strong_radius_estimate(
     pts = np.vstack([P.points, Q]) if P.n else Q
     C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q)
     dist = np.linalg.norm(pts - z, axis=1)
-
-    def rows(k):
-        return np.array([C.verts[i] for i in np.flatnonzero(C.dims == k).tolist()], dtype=np.intp).reshape(-1, k + 1)
-
+    _, rows = C.vertex_rows(q)
     # vertex rows are ascending, so a new simplex has its last vertex in Q
-    new = rows(q)
-    new = new[new[:, -1] >= P.n]
+    new = rows[q][rows[q][:, -1] >= P.n]
     if not len(new):
         return RadiusEstimate(float(a_star), False, 0.0)
     # every simplex through Q at parameter r sits inside B(z, a*(r))
     assert dist[new].max() <= a_star + 1e-9
 
     inside = dist <= window_radius
-    edges = rows(1)
+    edges = rows[1]
     sets = UnionFind(len(pts))
     for a, b in edges[inside[edges].all(axis=1)].tolist():
         sets.union(a, b)

@@ -294,10 +294,13 @@ def test_triangle_balls_match_the_per_triangle_miniball_exactly():
             assert {v: t for v, t, q in zip(C.verts, C.times.tolist(), C.dims.tolist()) if q == 2} == want
 
 
-def test_circumballs_raise_when_the_svd_does_not_converge():
+def test_circumballs_raise_when_the_svd_does_not_converge(capfd):
     # as numpy's lstsq does, instead of returning a NaN center
     with pytest.raises(np.linalg.LinAlgError):
         _circumballs(np.array([[[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]]]))
+    # LAPACK reports the NaN input on file descriptor 1, not through sys
+    out, err = capfd.readouterr()
+    assert "DLASCL" in out + err
 
 
 # uniform or quarter-grid coordinates, so that right angles, ties and

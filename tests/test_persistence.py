@@ -89,11 +89,43 @@ def test_cohomology_matches_homology_reduction():
                         assert np.array_equal(got, want)
 
 
+def test_lazy_pivots_match_homology_reduction(monkeypatch):
+    """Clouds large enough that lazy pivots are expanded, several within one
+    reduction: Rips and Cech in d = 2 and 3, uniform or on a half-lattice (tied
+    times), with r_max past the percolation radius of unit intensity."""
+    expanded, chains = [], []
+    init, insert = Echelon.__init__, Echelon.insert
+
+    def spy_init(self, column=None):
+        init(self, column and (lambda key: expanded.append(key) or column(key)))
+
+    def spy_insert(self, v):
+        before = len(expanded)
+        low = insert(self, v)
+        chains.append(len(expanded) - before)
+        return low
+
+    monkeypatch.setattr(Echelon, "__init__", spy_init)
+    monkeypatch.setattr(Echelon, "insert", spy_insert)
+    rng = np.random.default_rng(41)
+    for n, d, kind, r_max in [(120, 2, "rips", 2.0), (100, 2, "cech", 1.0), (80, 3, "rips", 1.2), (80, 3, "cech", 0.6)]:
+        side = n ** (1 / d)
+        for pts in (rng.random((n, d)) * side, rng.integers(0, 2 * int(side) + 1, (n, d)) / 2.0):
+            C = build(PointCloud(pts, Box((0.0,) * d, (side,) * d)), kind, r_max=r_max, q_max=d)
+            del expanded[:], chains[:]
+            D = reduce(C)
+            for got, want in zip((D.qs, D.births, D.deaths), _homology_reduction(C)):
+                assert np.array_equal(got, want)
+            assert len(expanded) > 0 and max(chains) >= 2
+
+
 def test_reduce_never_inserts_a_top_dimension_column(monkeypatch):
     C = build_rips(PointCloud(np.random.default_rng(39).random((12, 2)), unit_box(2)), r_max=1.0, q_max=2)
     assert np.count_nonzero(C.dims == 2) > 0
+    # a column enters the echelon when it is claimed (emergent) or inserted
     columns = []
-    insert = Echelon.insert
+    claim, insert = Echelon.claim, Echelon.insert
+    monkeypatch.setattr(Echelon, "claim", lambda self, low, key: claim(self, low, key) and not columns.append(key))
     monkeypatch.setattr(Echelon, "insert", lambda self, v: columns.append(v) or insert(self, v))
     D = reduce(C)
     # one coboundary per vertex and per edge, less the edges that were deaths
