@@ -104,7 +104,6 @@ class FilteredComplex:
     verts: list[tuple[int, ...]]  # sorted vertex tuples, one per cell
     times: np.ndarray  # float entry times, aligned with verts
     dims: np.ndarray  # simplex dimensions, aligned with verts
-    vertex_coords: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -129,8 +128,7 @@ class FilteredComplex:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def complex_from_text(text: str, d: int, kind: str, q_max: int, r_max: float,
-                      vertex_coords: np.ndarray | None = None) -> FilteredComplex:
+def complex_from_text(text: str, d: int, kind: str, q_max: int, r_max: float) -> FilteredComplex:
     verts: list[tuple[int, ...]] = []
     times: list[float] = []
     dims: list[int] = []
@@ -141,8 +139,7 @@ def complex_from_text(text: str, d: int, kind: str, q_max: int, r_max: float,
         times.append(float(parts[0]))
         dims.append(int(parts[1]))
         verts.append(tuple(int(x) for x in parts[2:]))
-    coords = vertex_coords if vertex_coords is not None else np.empty((0, d))
-    return FilteredComplex(d, kind, q_max, r_max, verts, np.asarray(times), np.asarray(dims, dtype=int), coords)
+    return FilteredComplex(d, kind, q_max, r_max, verts, np.asarray(times), np.asarray(dims, dtype=int))
 
 
 def close_pairs(pts: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +256,7 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     # zipping the columns makes the tuples faster than tuple() on each row
     verts = [v for s in simplices for v in zip(*s.T.tolist())]
     verts = [verts[k] for k in order.tolist()]
-    return FilteredComplex(P.d, kind, q_max, r_max, verts, times_arr[order], dims_arr[order], pts)
+    return FilteredComplex(P.d, kind, q_max, r_max, verts, times_arr[order], dims_arr[order])
 
 
 def build_rips(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:

@@ -109,10 +109,6 @@ class BallWindow:
         d = self.d
         return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * self.radius**d
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        return np.linalg.norm(pts - c, axis=1) <= self.radius + 1e-12
-
     def to_json(self) -> dict:
         return {"kind": "ball", "center": list(self.center), "radius": self.radius}
 

@@ -25,6 +25,7 @@ from .point_process import (
     PointCloud,
     RngSeed,
     csv_text,
+    in_lattice_cube,
     lattice_cube,
     sample_poisson_homogeneous,
     swap_window,
@@ -171,10 +172,10 @@ class _GlobalComplex:
                     m |= 1 << f
                 self.masks[i] = m
 
-    def pair_counts(self, radii: np.ndarray, with_q: bool, r: float, d: int):
-        """dim Z_q(K_r) and dim(Z_q(K_r) ^ B_q(K_s)) for q < d, on the subcomplex
-        of cells within B(z, a), with or without the added points, for each a
-        in the ascending `radii`; one row per radius.
+    def differences(self, radii: np.ndarray, r: float, d: int):
+        """D1 and D2 for q < d: dim Z_q(K_r) and dim(Z_q(K_r) ^ B_q(K_s)) on
+        the subcomplex of cells within B(z, a), with the added points minus
+        without, for each a in the ascending `radii`; one row per radius.
 
         By the pairing lemma both are ranks of boundary columns in the stored
         order: dim Z_q = #q-cells born by r - rank d_q(q-cells born by r), and
@@ -182,38 +183,37 @@ class _GlobalComplex:
         q-cells born after r (every cell of the complex enters by s).  Those
         rows are the ranks from early[q] up, and an echelon's lows are its
         span's, so the difference counts the d_{q+1} pivots with low below
-        early[q].  The column sets only grow with a, so each cell enters an
-        echelon basis once.
+        early[q].  The column sets only grow with a, so one walk in ball order
+        feeds both sides: a cell through Q enters the echelons with Q only, any
+        other cell enters both, and the side without Q subtracts its steps.  A
+        stable sort keeps the stored order among equal balls, so each side
+        sees the cells in the order of a walk over its own cells alone.
         """
         C, masks = self.C, self.masks
         early = [int((C.times[cells] <= r).sum()) for cells in self.cells]
-        keep = self.cell_ball <= radii[-1] if len(radii) else np.zeros(C.n_cells, dtype=bool)
-        if not with_q:
-            keep = keep & ~self.cell_uses_q
-        cells = np.flatnonzero(keep)
-        cells = cells[np.argsort(self.cell_ball[cells], kind="stable")]
-        born = [Echelon() for _ in range(d)]  # d_q columns of cells born by r, q >= 1
-        alive = [Echelon() for _ in range(d)]  # d_{q+1} columns
-        n_born = np.zeros(d, dtype=int)
-        rank_born = np.zeros(d, dtype=int)
-        n_early_lows = np.zeros(d, dtype=int)
-        dim_z = np.zeros((len(radii), d), dtype=int)
-        dim_zb = np.zeros((len(radii), d), dtype=int)
-        ptr = 0
-        for row, a in enumerate(radii):
-            while ptr < len(cells) and self.cell_ball[cells[ptr]] <= a:
-                i = int(cells[ptr])
-                ptr += 1
-                q = int(C.dims[i])
-                if q < d and C.times[i] <= r:
-                    n_born[q] += 1
-                    if q:
-                        rank_born[q] += born[q].insert(masks[i]) >= 0
-                if 1 <= q <= d:
-                    n_early_lows[q - 1] += 0 <= alive[q - 1].insert(masks[i]) < early[q - 1]
-            dim_z[row] = n_born - rank_born
-            dim_zb[row] = n_early_lows
-        return dim_z, dim_zb
+        order = np.argsort(self.cell_ball, kind="stable")
+        stops = np.searchsorted(self.cell_ball[order], radii, side="right").tolist()
+        order, dims = order.tolist(), C.dims.tolist()
+        born_by_r, uses_q = (C.times <= r).tolist(), self.cell_uses_q.tolist()
+        # (sign, d_q echelons of cells born by r for q >= 1, d_{q+1} echelons)
+        sides = [(sign, [Echelon() for _ in range(d)], [Echelon() for _ in range(d)]) for sign in (1, -1)]
+        dz, dzb = [0] * d, [0] * d
+        d1 = np.zeros((len(radii), d), dtype=int)
+        d2 = np.zeros((len(radii), d), dtype=int)
+        start = 0
+        for row, stop in enumerate(stops):
+            for i in order[start:stop]:
+                q = dims[i]
+                for sign, born, alive in sides[: 1 if uses_q[i] else 2]:
+                    if q < d and born_by_r[i]:
+                        dz[q] += sign
+                        if q:
+                            dz[q] -= sign * (born[q].insert(masks[i]) >= 0)
+                    if 1 <= q <= d:
+                        dzb[q - 1] += sign * (0 <= alive[q - 1].insert(masks[i]) < early[q - 1])
+            start = stop
+            d1[row], d2[row] = dz, dzb
+        return d1, d2
 
 
 def stabilization_trace(
@@ -231,9 +231,7 @@ def stabilization_trace(
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
     events = np.unique(G.point_dist[G.point_dist <= window_radius])
     probes = np.unique(np.concatenate([events, [a_star, window_radius]]))
-    z_with, zb_with = G.pair_counts(probes, True, r, P.d)
-    z_wo, zb_wo = G.pair_counts(probes, False, r, P.d)
-    return StabilizationTrace(z, probes, z_with - z_wo, zb_with - zb_wo)
+    return StabilizationTrace(z, probes, *G.differences(probes, r, P.d))
 
 
 def weak_radius(
@@ -330,7 +328,13 @@ def swap_difference(
     kind: str = "rips",
 ) -> SwapDifferenceRecord:
     """Delta^{r,s}_z(B_n): persistent Betti change when the unit lattice cube at
-    z is resampled from the coupled copy, both clouds cut to B_n."""
+    z is resampled from the coupled copy, both clouds cut to B_n.
+
+    The geometric bound counts the q- and (q+1)-simplices at parameter s in
+    one complex but not the other, the points swapped in all counting as new.
+    The points kept outside Q(z) keep their relative order in both clouds, so
+    each simplex on them has the same vertex order and entry time in both,
+    and the two complexes share exactly K(kept)."""
     z = np.asarray(z, dtype=float)
     d = P.d
     half = n ** (1.0 / d) / 2.0
@@ -342,19 +346,12 @@ def swap_difference(
     base = PointCloud(P.points[box.contains(P.points)], box)
     swapped = swap_window(P, P_prime, z).points
     swapped = PointCloud(swapped[box.contains(swapped)], box)
-    Cb = build(base, kind, r_max=s, q_max=q + 1)
-    Cs = build(swapped, kind, r_max=s, q_max=q + 1)
+    kept = PointCloud(base.points[~in_lattice_cube(base.points, z)], box)
+    Cb, Cs, Ck = (build(X, kind, r_max=s, q_max=q + 1) for X in (base, swapped, kept))
     query = RankQuery(q, r, s)
     value = reduce(Cb).persistent_betti(query) - reduce(Cs).persistent_betti(query)
-
-    # geometric bound: count j-simplices at parameter s present in one complex
-    # but not the other, keyed by vertex coordinates
-    bound = 0
-    for j_dim in (q, q + 1):
-        sb = {tuple(map(tuple, np.round(base.points[list(v)], 12))) for v, dd in zip(Cb.verts, Cb.dims) if dd == j_dim}
-        ss = {tuple(map(tuple, np.round(swapped.points[list(v)], 12))) for v, dd in zip(Cs.verts, Cs.dims) if dd == j_dim}
-        bound += len(sb ^ ss)
-    return SwapDifferenceRecord(z, float(n), float(r), float(s), q, int(value), int(bound))
+    nb, ns, nk = (int(np.isin(C.dims, (q, q + 1)).sum()) for C in (Cb, Cs, Ck))
+    return SwapDifferenceRecord(z, float(n), float(r), float(s), q, int(value), nb + ns - 2 * nk)
 
 
 # ---------------------------------------------------------------------------

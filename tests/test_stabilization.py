@@ -4,10 +4,11 @@ import pytest
 from pslab.filtration import build, mu
 from pslab import stabilization
 from pslab.persistence import Echelon, RankQuery, UnionFind, boundary_masks, reduce
-from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_poisson_homogeneous
+from pslab.point_process import Box, DomainError, PointCloud, RngSeed, sample_poisson_homogeneous, swap_window
 from pslab.stabilization import (
     AddOneQuery,
     RadiusEstimate,
+    StabilizationTrace,
     _GlobalComplex,
     add_one_cost,
     radius_rows_to_csv,
@@ -237,17 +238,31 @@ class _WholeComplexMasks(_GlobalComplex):
         return dim_z, dim_zb
 
 
-def _radius_layer(P, Q, r, s, kind, w):
-    return weak_radius(P, Q, np.zeros(P.d), r, s, kind=kind, window_radius=w, return_trace=True)
+def _reference_weak(P, Q, r, s, kind, w):
+    """The weak estimate and trace from `_WholeComplexMasks`: its probes are
+    the distinct point distances within w together with a*(s) and w, and
+    D1, D2 are its pass with Q minus its pass without Q."""
+    z = np.zeros(P.d)
+    G = _WholeComplexMasks(P, Q, z, kind, r_max=s, q_max=P.d)
+    a_star = np.linalg.norm(Q - z, axis=1).max() + mu(kind, s)
+    events = G.point_dist[G.point_dist <= w]
+    radii = np.unique(np.concatenate([events, [a_star, w]]))
+    z_with, zb_with = G.pair_counts(radii, True, r, P.d)
+    z_wo, zb_wo = G.pair_counts(radii, False, r, P.d)
+    trace = StabilizationTrace(z, radii, z_with - z_wo, zb_with - zb_wo)
+    value = trace.settled_radius()
+    margin = 2.0 * mu(kind, s)
+    return RadiusEstimate(value, bool(w - value < margin), margin), trace
 
 
-def test_radius_layer_matches_whole_complex_masks(monkeypatch):
+def test_radius_layer_matches_whole_complex_masks():
     """Per-dimension ranks relabel the bits of each boundary column
-    injectively, and the pivot lows of d_{q+1} below the first q-cell born
-    after r count the same rank difference as the rows masked to those born
-    after r, so D1, D2 and the weak radii must be exactly those of the
-    whole-complex masks.  Rips (0.5, 0.75) puts r at a lattice distance, so
-    cells born exactly at r sit on that boundary."""
+    injectively, the pivot lows of d_{q+1} below the first q-cell born after
+    r count the same rank difference as the rows masked to those born after
+    r, and the one ball-order walk feeds each side the cells of its own pass
+    in its own order, so the probes, D1, D2 and the weak estimates must be
+    exactly the two whole-complex-mask passes'.  Rips (0.5, 0.75) puts r at a
+    lattice distance, so cells born exactly at r sit on that boundary."""
     rng = np.random.default_rng(61)
     for d, w, caps in ((2, 2.5, [("rips", 0.4, 0.6), ("rips", 0.5, 0.75), ("cech", 0.25, 0.4)]),
                        (3, 1.8, [("rips", 0.5, 0.7), ("rips", 0.5, 0.75), ("cech", 0.3, 0.4)])):
@@ -263,10 +278,8 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
                 pts = np.vstack([uniform, lattice, lattice[: len(lattice) // 8], patch])
                 P = PointCloud(pts, box)
                 Q = np.array([[0.0] * d, [0.25] + [0.0] * (d - 1)])
-                new = _radius_layer(P, Q, r, s, kind, w)
-                with monkeypatch.context() as m:
-                    m.setattr(stabilization, "_GlobalComplex", _WholeComplexMasks)
-                    old = _radius_layer(P, Q, r, s, kind, w)
+                new = weak_radius(P, Q, np.zeros(d), r, s, kind=kind, window_radius=w, return_trace=True)
+                old = _reference_weak(P, Q, r, s, kind, w)
                 assert new[0] == old[0]  # value, censoring flag and margin
                 assert np.array_equal(new[1].radii, old[1].radii)
                 assert np.array_equal(new[1].d1, old[1].d1)
@@ -434,6 +447,42 @@ def test_swap_geometric_bound():
         for q in (0, 1):
             rec = swap_difference(P, P_prime, np.zeros(2), n=25.0, q=q, r=0.3, s=0.4)
             assert abs(rec.value) <= rec.geometric_bound
+
+
+def _swap_bound_brute_force(P, P_prime, z, n, q, s, kind):
+    """Size of the symmetric difference of the q- and (q+1)-simplices of the
+    base and swapped complexes, each simplex keyed by its vertices' exact
+    coordinates."""
+    half = n ** (1.0 / P.d) / 2.0
+    box = Box((-half,) * P.d, (half,) * P.d)
+    keyed = []
+    for pts in (P.points, swap_window(P, P_prime, z).points):
+        pts = pts[box.contains(pts)]
+        C = build(PointCloud(pts, box), kind, r_max=s, q_max=q + 1)
+        keyed.append({tuple(sorted(map(tuple, pts[list(v)].tolist())))
+                      for v, k in zip(C.verts, C.dims.tolist()) if k in (q, q + 1)})
+    return len(keyed[0] ^ keyed[1])
+
+
+def test_swap_bound_is_the_exact_simplex_count():
+    """A kept point 2e-13 outside Q(0) next to the point swapped in: the new
+    vertex and its two edges differ, so the bound is 3 (rounding coordinates
+    to 12 decimals merged the two points and undercounted it as 2)."""
+    win = Box((-2.0, -2.0), (2.0, 2.0))
+    P = PointCloud(np.array([[0.5 + 2e-13, 0.0], [1.0, 0.0]]), win)
+    P_prime = PointCloud(np.array([[0.5, 0.0]]), win)
+    rec = swap_difference(P, P_prime, np.zeros(2), n=9.0, q=0, r=0.6, s=0.6)
+    assert rec.geometric_bound == 3 == _swap_bound_brute_force(P, P_prime, np.zeros(2), 9.0, 0, 0.6, "rips")
+    for d, n in ((2, 9.0), (3, 8.0)):
+        box = Box((-2.0,) * d, (2.0,) * d)
+        for rep in range(3):
+            P = sample_poisson_homogeneous(1.0, box, RngSeed(17, 2 * rep + 10 * d))
+            P_prime = sample_poisson_homogeneous(1.0, box, RngSeed(17, 2 * rep + 10 * d + 1))
+            for kind in ("rips", "cech"):
+                for q in (0, 1):
+                    rec = swap_difference(P, P_prime, np.zeros(d), n, q, 0.3, 0.5, kind)
+                    assert rec.geometric_bound == _swap_bound_brute_force(P, P_prime, np.zeros(d), n, q, 0.5, kind)
+                    assert abs(rec.value) <= rec.geometric_bound
 
 
 def test_swap_constant_in_large_n():
