@@ -8,8 +8,8 @@ enclosing ball of its vertices.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 # the LAPACK gelsd gufunc behind numpy's lstsq, which solves a stack in one call
@@ -95,28 +95,68 @@ def _enclosing_balls(X: np.ndarray, fc: np.ndarray, fr: np.ndarray) -> tuple[np.
 # ---------------------------------------------------------------------------
 
 
+class Simplices(Sequence):
+    """The cells of a filtered complex as arrays, per dimension k: `rows[k]`,
+    the k-simplices as ascending vertex-id rows in lexicographic order;
+    `codes[k]`, their `_lookup` keys; and `positions[k]`, the position of each
+    row in the complex's stored order.  The vertices are the 0-cells 0..n-1.
+    As a sequence it reads the vertex tuples in the stored order."""
+
+    def __init__(self, rows: list[np.ndarray], codes: list[np.ndarray], positions: list[np.ndarray]):
+        self.rows, self.codes, self.positions = rows, codes, positions
+
+    def __len__(self) -> int:
+        return sum(len(at) for at in self.positions)
+
+    def __getitem__(self, i) -> tuple[int, ...]:
+        i = range(len(self))[i]
+        for rows, at in zip(self.rows, self.positions):
+            hit = np.flatnonzero(at == i)
+            if len(hit):
+                return tuple(rows[hit[0]].tolist())
+
+    def __iter__(self):
+        # zipping the columns makes the tuples faster than tuple() on each row
+        tuples = [v for rows in self.rows for v in zip(*rows.T.tolist())]
+        return iter([tuples[i] for i in np.argsort(np.concatenate(self.positions)).tolist()])
+
+
 @dataclass
 class FilteredComplex:
+    """A filtered complex in its stored order.  `verts` holds the cells as
+    `Simplices`, the arrays `build` makes, and reads as vertex tuples; a list
+    of vertex tuples given in its place is converted to them once."""
+
     d: int
     kind: str  # cech | rips
     q_max: int
     r_max: float
-    verts: list[tuple[int, ...]]  # sorted vertex tuples, one per cell
-    times: np.ndarray  # float entry times, aligned with verts
-    dims: np.ndarray  # simplex dimensions, aligned with verts
+    verts: Simplices
+    times: np.ndarray  # float entry times, in the stored order
+    dims: np.ndarray  # simplex dimensions, in the stored order
+
+    def __post_init__(self):
+        # ascending vertex tuples in the stored order, as `complex_from_text`
+        # gives, become the arrays once; if they are not closed under faces,
+        # `_lookup` cannot use their codes
+        if isinstance(self.verts, Simplices):
+            return
+        verts = list(self.verts)
+        sizes = np.array([len(v) for v in verts], dtype=np.intp)
+        rows, codes, positions = [], [], []
+        for k in range(max(self.q_max, int(sizes.max(initial=1)) - 1) + 1):
+            at = np.flatnonzero(sizes == k + 1)
+            block = np.array([verts[i] for i in at.tolist()], dtype=np.intp).reshape(-1, k + 1)
+            lex = np.lexsort(block.T[::-1])
+            rows.append(block[lex])
+            positions.append(at[lex])
+            n = len(rows[0])
+            codes.append(_lookup(codes, n, rows[k][:, :k]) * n + rows[k][:, k] if k else rows[0][:, 0])
+        self.verts = Simplices(rows, codes, positions)
 
     @property
     def n_cells(self) -> int:
-        return len(self.verts)
-
-    def vertex_rows(self, top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per dimension k <= top: the stored positions of the k-cells,
-        ascending, and their m_k x (k + 1) vertex rows, each ascending."""
-        sizes = self.dims + 1
-        flat = np.fromiter(chain.from_iterable(self.verts), dtype=np.intp, count=int(sizes.sum()))
-        start = np.cumsum(sizes) - sizes
-        cells = [np.flatnonzero(self.dims == k) for k in range(top + 1)]
-        return cells, [flat[start[idx][:, None] + np.arange(k + 1)] for k, idx in enumerate(cells)]
+        return len(self.times)
 
     def event_times(self) -> np.ndarray:
         return np.unique(self.times)
@@ -151,10 +191,18 @@ def close_pairs(pts: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]
     # disagree by 1 ulp with the norms used for filtration times
     cand = cKDTree(pts).query_pairs(cutoff * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
     cand = np.sort(np.asarray(cand, dtype=np.intp).reshape(-1, 2), axis=1)
-    cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
+    cand = cand[np.argsort(cand[:, 0] * len(pts) + cand[:, 1])]  # distinct keys
     lengths = _norms(pts[cand[:, 0]] - pts[cand[:, 1]])
     keep = lengths <= cutoff
     return cand[keep], lengths[keep]
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` for nonnegative integer keys: the
+    distinct keys * m + index go through numpy's plain integer sort, which is
+    several times faster than its stable argsort."""
+    m = len(keys)
+    return np.sort(keys * m + np.arange(m)) % m
 
 
 def _lookup(codes: list[np.ndarray], n: int, rows: np.ndarray) -> np.ndarray:
@@ -238,7 +286,8 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
                 for c in range(k):
                     facets = np.delete(cells, c, axis=1)
                     at[:, c] = np.minimum(_lookup(codes, n, facets), len(prev) - 1)
-                    held &= (prev[at[:, c]] == facets).all(axis=1)
+                    if k >= 3:  # every close pair is an edge, so a triangle's facets are held
+                        held &= (prev[at[:, c]] == facets).all(axis=1)
                 center, radius = _enclosing_balls(pts[cells], center[at], radius[at])
                 t = np.where(held, np.maximum(radius, times[-1][at].max(axis=1)), np.inf)
             keep = t <= r_max
@@ -249,14 +298,23 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             if kind == "cech":
                 center, radius = center[keep], radius[keep]
 
+    # every dimension up to q_max has its arrays, if empty
+    for k in range(len(simplices), q_max + 1):
+        simplices.append(np.empty((0, k + 1), dtype=np.intp))
+        times.append(np.empty(0))
+        codes.append(np.empty(0, dtype=np.intp))
+    sizes = [len(s) for s in simplices]
     times_arr = np.concatenate(times)
-    dims_arr = np.concatenate([np.full(len(s), k, dtype=int) for k, s in enumerate(simplices)])
-    within = np.concatenate([np.arange(len(s)) for s in simplices])
-    order = np.lexsort((within, dims_arr, times_arr))
-    # zipping the columns makes the tuples faster than tuple() on each row
-    verts = [v for s in simplices for v in zip(*s.T.tolist())]
-    verts = [verts[k] for k in order.tolist()]
-    return FilteredComplex(P.d, kind, q_max, r_max, verts, times_arr[order], dims_arr[order])
+    dims_arr = np.repeat(np.arange(len(sizes)), sizes)
+    # the dimensions follow each other in lexicographic order, so a stable
+    # sort by time (by its rank among the distinct times) gives the stored
+    # (time, dimension, lexicographic) order
+    order = _stable_argsort(np.unique(times_arr, return_inverse=True)[1])
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    positions = np.split(position, np.cumsum(sizes)[:-1])
+    return FilteredComplex(P.d, kind, q_max, r_max, Simplices(simplices, codes, positions), times_arr[order],
+                           dims_arr[order])
 
 
 def build_rips(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:

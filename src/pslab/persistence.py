@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import FilteredComplex, _lookup, close_pairs, mu
+from .filtration import FilteredComplex, _lookup, _stable_argsort, close_pairs, mu
 from .point_process import DomainError, PointCloud, csv_text
 
 ORACLE_CELL_CAP = 5000
@@ -133,28 +133,27 @@ class UnionFind:
         return ra, rb
 
 
-def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Per dimension k <= top: the stored positions and vertex rows of
-    `FilteredComplex.vertex_rows`, and (for k >= 1) an m_k x (k + 1) array
-    whose row b holds the ranks among the (k-1)-cells of the facets of the
-    k-cell of rank b.  A rank is a position within one dimension, in the
-    complex's stored order."""
-    cells, rows = C.vertex_rows(top)
-    # `_lookup` keys a vertex by its id and a higher simplex by its position in
-    # the lexicographic order of its dimension; to_rank maps either to a rank
-    n = int(rows[0].max(initial=-1)) + 1
-    to_rank = [np.zeros(n, dtype=np.intp)]
-    to_rank[0][rows[0][:, 0]] = np.arange(len(cells[0]))
-    codes: list = [None]
+def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per dimension k <= top: the stored positions of the k-cells, ascending,
+    and (for k >= 1) an m_k x (k + 1) array whose row b holds the ranks among
+    the (k-1)-cells of the facets of the k-cell of rank b.  A rank is a
+    position within one dimension, in the complex's stored order."""
+    S = C.verts
+    n = len(S.rows[0])
+    cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
+    rank = np.empty(C.n_cells, dtype=np.intp)
+    for cells_k in cells:
+        rank[cells_k] = np.arange(len(cells_k))
     facets: list = [None]
     for k in range(1, top + 1):
-        lex = np.lexsort(rows[k].T[::-1])
-        sorted_rows = rows[k][lex]
-        codes.append(_lookup(codes, n, sorted_rows[:, :k]) * n + sorted_rows[:, k])
-        to_rank.append(lex)
-        sub = [np.delete(rows[k], c, axis=1) for c in range(k + 1)]
-        facets.append(np.column_stack([to_rank[k - 1][_lookup(codes, n, f)] for f in sub]))
-    return cells, rows, facets
+        # the facets of the lexicographic rows, looked up as (k-1)-rows; the
+        # one without the last vertex is the prefix face that keys the code
+        rows = S.rows[k]
+        lex = [_lookup(S.codes, n, np.delete(rows, c, axis=1)) for c in range(k)] + [S.codes[k] // n]
+        by_rank = np.empty(len(rows), dtype=np.intp)
+        by_rank[rank[S.positions[k]]] = np.arange(len(rows))
+        facets.append(rank[S.positions[k - 1][np.column_stack(lex)[by_rank]]])
+    return cells, facets
 
 
 def reduce(C: FilteredComplex) -> PersistenceDiagram:
@@ -179,12 +178,12 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     killed = np.zeros(C.n_cells, dtype=bool)
     top = min(int(C.dims.max(initial=0)), C.q_max)
     if top > 0:
-        cells, _, facets = _facet_ranks(C, top)
+        cells, facets = _facet_ranks(C, top)
         for k in range(top):
             # cofacets of each k-cell as a CSR list, ascending in rank
             width = len(cells[k + 1])
             by_facet = facets[k + 1].ravel()
-            cofacet = np.argsort(by_facet, kind="stable") // (k + 2)
+            cofacet = _stable_argsort(by_facet) // (k + 2)
             bits = (width - 1 - cofacet).tolist()
             ptr = np.concatenate([[0], np.cumsum(np.bincount(by_facet, minlength=len(cells[k])))]).tolist()
 

@@ -158,12 +158,12 @@ class _GlobalComplex:
         # a k-cell's boundary is an int over the ranks of its facets among the
         # (k-1)-cells, as in `reduce`; vertex rows are ascending, so the last
         # column holds each cell's largest index
-        self.cells, rows, facets = _facet_ranks(C, int(C.dims.max(initial=0)))
+        self.cells, facets = _facet_ranks(C, int(C.dims.max(initial=0)))
         self.cell_ball = np.zeros(C.n_cells)
         self.cell_uses_q = np.zeros(C.n_cells, dtype=bool)
-        for cells, rows_k in zip(self.cells, rows):
-            self.cell_ball[cells] = dist[rows_k].max(axis=1)
-            self.cell_uses_q[cells] = rows_k[:, -1] >= P.n
+        for rows, at in zip(C.verts.rows, C.verts.positions):
+            self.cell_ball[at] = dist[rows].max(axis=1)
+            self.cell_uses_q[at] = rows[:, -1] >= P.n
         self.masks = [0] * C.n_cells
         for cells, facets_k in zip(self.cells[1:], facets[1:]):
             for i, row in zip(cells.tolist(), facets_k.tolist()):
@@ -290,7 +290,7 @@ def strong_radius_estimate(
     pts = np.vstack([P.points, Q]) if P.n else Q
     C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q)
     dist = np.linalg.norm(pts - z, axis=1)
-    _, rows = C.vertex_rows(q)
+    rows = C.verts.rows
     # vertex rows are ascending, so a new simplex has its last vertex in Q
     new = rows[q][rows[q][:, -1] >= P.n]
     if not len(new):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from pslab.filtration import (
     _circumballs,
     _enclosing_balls,
     _norms,
+    _stable_argsort,
     build,
     build_cech,
     build_rips,
@@ -21,6 +23,7 @@ from pslab.filtration import (
     mu,
     restrict,
 )
+from pslab.persistence import reduce
 from pslab.point_process import (
     Box,
     DomainError,
@@ -315,6 +318,13 @@ def test_triangle_balls_match_the_per_triangle_miniball_on_small_clouds(rows):
     _assert_triangle_balls_exact(pts[list(itertools.combinations(range(len(pts)), 3))])
 
 
+def test_stable_argsort_matches_numpy_stable_argsort():
+    rng = np.random.default_rng(30)
+    for m, high in ((0, 1), (1, 1), (1000, 3), (1000, 1000), (5000, 200)):
+        keys = rng.integers(0, high, m)
+        assert np.array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+
 def test_restrict():
     box = Box((-2.0, -2.0), (2.0, 2.0))
     P = sample_poisson_homogeneous(2.0, box, RngSeed(24, 0))
@@ -406,8 +416,39 @@ def test_complex_text_roundtrip():
     C = build_rips(SQUARE, r_max=2.0, q_max=2)
     text = C.to_text()
     D = complex_from_text(text, d=2, kind="rips", q_max=2, r_max=2.0)
-    assert D.verts == C.verts
+    assert list(D.verts) == list(C.verts)
     assert np.array_equal(D.times, C.times)
+
+
+def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
+    """What readers of `verts` rely on: it yields tuples of Python ints in the
+    stored order and indexes alike; a list of tuples given in its place, even
+    one that is not closed under faces, is stored and read back as given; and
+    a complex read back from its text has the same arrays and diagram."""
+    P = sample_poisson_homogeneous(1.0, Box((0.0, 0.0), (12.0, 12.0)), RngSeed(29, 0))
+    for kind, r_max in (("rips", 1.5), ("cech", 0.75)):
+        C = build(P, kind, r_max, 2)
+        verts = list(C.verts)
+        assert len(verts) == len(C.verts) == C.n_cells > 500
+        assert all(type(v) is tuple and all(type(i) is int for i in v) for v in verts)
+        assert [len(v) - 1 for v in verts] == C.dims.tolist()
+        assert list(zip(C.times.tolist(), C.dims.tolist(), verts)) == sorted(zip(C.times.tolist(), C.dims.tolist(), verts))
+        assert [C.verts[i] for i in range(0, C.n_cells, 7)] == verts[::7]
+        assert C.verts[-1] == verts[-1]
+        assert dataclasses.replace(C, times=C.times.copy()).verts is C.verts
+
+        i = int(np.flatnonzero(C.dims == 1)[0])
+        keep = np.arange(C.n_cells) != i
+        dropped = [v for v, k in zip(verts, keep) if k]
+        D = dataclasses.replace(C, verts=dropped, times=C.times[keep], dims=C.dims[keep])
+        assert list(D.verts) == dropped and D.n_cells == C.n_cells - 1
+
+        D = complex_from_text(C.to_text(), P.d, kind, 2, r_max)
+        assert list(D.verts) == verts
+        for arrays in ("rows", "codes", "positions"):
+            for got, want in zip(getattr(D.verts, arrays), getattr(C.verts, arrays), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert reduce(D).to_csv() == reduce(C).to_csv()
 
 
 def test_q_max_zero_has_no_edges():

@@ -1,14 +1,15 @@
 """Property tests on small random clouds (hypothesis)."""
 
+import itertools
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pslab.filtration import build
-from pslab.persistence import RankQuery, persistent_betti_direct, reduce
-from pslab.point_process import PointCloud, unit_box
+from pslab.filtration import _lookup, build
+from pslab.persistence import RankQuery, _facet_ranks, boundary_masks, persistent_betti_direct, reduce
+from pslab.point_process import Box, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
 
 # a coordinate is uniform or on a coarse grid, so that ties and repeated
 # points are drawn often
@@ -35,10 +36,13 @@ def test_point_permutation_leaves_rips_diagram_unchanged(P, r_max, q_max, random
     assert _triples(reduce(build(shuffled, "rips", r_max, q_max))) == _triples(D)
 
 
+# a cloud on which a clique time that took an edge's length from another
+# distance kernel than `close_pairs` moved a death by one ulp with the order
+TIE_CLOUD = PointCloud(np.array([[0.0, 0.0]] * 8 + [[0.0, 1.0], [0.75, 0.8105087641586393]]), unit_box(2))
+
+
 def test_point_permutation_leaves_rips_diagram_unchanged_on_a_tie_cloud():
-    # a cloud on which a clique time that took an edge's length from another
-    # distance kernel than `close_pairs` moved a death by one ulp with the order
-    P = PointCloud(np.array([[0.0, 0.0]] * 8 + [[0.0, 1.0], [0.75, 0.8105087641586393]]), unit_box(2))
+    P = TIE_CLOUD
     D = reduce(build(P, "rips", 1.5, 2))
     for seed in range(8):
         shuffled = PointCloud(P.points[np.random.default_rng(seed).permutation(P.n)], P.window)
@@ -142,3 +146,64 @@ def test_reduce_agrees_with_oracle_on_event_grid(P, cap, q_max):
             for s in grid[i:]:
                 query = RankQuery(q, r, s)
                 assert D.persistent_betti(query) == persistent_betti_direct(C, query)
+
+
+def _reference_facet_ranks(C, top):
+    """The tuple-based derivation that the stored arrays replaced, kept here as
+    the reference: flatten the vertex tuples into rows per dimension in the
+    stored order, lexsort each dimension to recompute its `_lookup` codes, and
+    look every facet up again.  Returns (cells, rows, facets)."""
+    sizes = C.dims + 1
+    flat = np.fromiter(itertools.chain.from_iterable(C.verts), dtype=np.intp, count=int(sizes.sum()))
+    start = np.cumsum(sizes) - sizes
+    cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
+    rows = [flat[start[idx][:, None] + np.arange(k + 1)] for k, idx in enumerate(cells)]
+    n = int(rows[0].max(initial=-1)) + 1
+    to_rank = [np.zeros(n, dtype=np.intp)]
+    to_rank[0][rows[0][:, 0]] = np.arange(len(cells[0]))
+    codes, facets = [None], [None]
+    for k in range(1, top + 1):
+        lex = np.lexsort(rows[k].T[::-1])
+        sorted_rows = rows[k][lex]
+        codes.append(_lookup(codes, n, sorted_rows[:, :k]) * n + sorted_rows[:, k])
+        to_rank.append(lex)
+        sub = [np.delete(rows[k], c, axis=1) for c in range(k + 1)]
+        facets.append(np.column_stack([to_rank[k - 1][_lookup(codes, n, f)] for f in sub]))
+    return cells, rows, facets
+
+
+def _assert_facet_ranks_match_reference(C):
+    top = int(C.dims.max(initial=0))
+    cells, facets = _facet_ranks(C, top)
+    ref_cells, ref_rows, ref_facets = _reference_facet_ranks(C, top)
+    # the stored rows in rank order: a dimension's positions ascend with rank
+    rows = [C.verts.rows[k][np.argsort(C.verts.positions[k])] for k in range(top + 1)]
+    for got, want in ((cells, ref_cells), (rows, ref_rows), (facets[1:], ref_facets[1:])):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return cells, facets
+
+
+# besides `CAPS`, Rips 1.5 and Cech 1.0 hold every simplex of a planar cloud
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(clouds, clouds_3d), st.sampled_from([*CAPS, ("rips", 1.5), ("cech", 1.0)]), st.integers(1, 3))
+@example(TIE_CLOUD, ("rips", 1.5), 2)
+@example(TIE_CLOUD, ("cech", 1.0), 3)
+def test_facet_ranks_match_the_tuple_derivation_and_the_oracle_facets(P, cap, q_max):
+    C = build(P, cap[0], cap[1], q_max)
+    cells, facets = _assert_facet_ranks_match_reference(C)
+    # `boundary_masks` is the oracle's own facet code, over stored positions
+    masks = boundary_masks(C)
+    for k in range(1, len(cells)):
+        for i, row in zip(cells[k].tolist(), facets[k].tolist()):
+            assert masks[i] == sum(1 << int(cells[k - 1][f]) for f in row)
+
+
+def test_facet_ranks_match_the_tuple_derivation_on_large_clouds():
+    # Rips past the percolation radius of unit intensity, and Cech to q_max 3
+    for kind, r_max, q_max, seed in (("rips", 2.0, 2, 0), ("rips", 1.2, 3, 1), ("cech", 0.7, 3, 2)):
+        P = sample_poisson_homogeneous(1.0, Box((0.0, 0.0), (20.0, 20.0)), RngSeed(35, seed))
+        C = build(P, kind, r_max, q_max)
+        assert int(C.dims.max()) == q_max and C.n_cells > 2000
+        _assert_facet_ranks_match_reference(C)
