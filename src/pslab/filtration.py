@@ -96,11 +96,11 @@ def _enclosing_balls(X: np.ndarray, fc: np.ndarray, fr: np.ndarray) -> tuple[np.
 
 
 class Simplices(Sequence):
-    """The cells of a filtered complex as arrays, per dimension k: `rows[k]`,
-    the k-simplices as ascending vertex-id rows in lexicographic order;
-    `codes[k]`, their `_lookup` keys; and `positions[k]`, the position of each
-    row in the complex's stored order.  The vertices are the 0-cells 0..n-1.
-    As a sequence it reads the vertex tuples in the stored order."""
+    """The cells of a filtered complex as arrays, per dimension k <= q_max:
+    `rows[k]`, the k-simplices as ascending vertex-id rows in lexicographic
+    order; `codes[k]`, their `_lookup` keys; and `positions[k]`, the position
+    of each row in the complex's stored order.  The vertices are the 0-cells
+    0..n-1.  As a sequence it reads the vertex tuples in the stored order."""
 
     def __init__(self, rows: list[np.ndarray], codes: list[np.ndarray], positions: list[np.ndarray]):
         self.rows, self.codes, self.positions = rows, codes, positions
@@ -116,9 +116,12 @@ class Simplices(Sequence):
                 return tuple(rows[hit[0]].tolist())
 
     def __iter__(self):
-        # zipping the columns makes the tuples faster than tuple() on each row
-        tuples = [v for rows in self.rows for v in zip(*rows.T.tolist())]
-        return iter([tuples[i] for i in np.argsort(np.concatenate(self.positions)).tolist()])
+        out = [None] * len(self)
+        for rows, at in zip(self.rows, self.positions):
+            # zipping the columns makes the tuples faster than tuple() on each row
+            for i, v in zip(at.tolist(), zip(*rows.T.tolist())):
+                out[i] = v
+        return iter(out)
 
 
 @dataclass
@@ -233,10 +236,11 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     simplices = [np.arange(n, dtype=np.intp).reshape(n, 1)]
     times = [np.zeros(n)]
     codes = [np.arange(n, dtype=np.intp)]
-    if q_max >= 1 and r_max > 0:
+    if q_max >= 1:
         # every close pair is an edge: its length is at most mu(kind, r_max),
-        # and halving it for Cech is exact
-        edges, lengths = close_pairs(pts, cutoff)
+        # and halving it for Cech is exact; at r_max = 0 there is no edge, and
+        # every higher dimension is empty too
+        edges, lengths = close_pairs(pts, cutoff) if r_max > 0 else (np.empty((0, 2), dtype=np.intp), np.empty(0))
         # forward adjacency of the cutoff graph: the rows of `edges` grouped by
         # their first vertex, each group ascending in the second
         edge_codes = edges[:, 0] * n + edges[:, 1]
@@ -254,8 +258,6 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
         # positions the adjacency check finds.
         for k in range(2, q_max + 1):
             prev = simplices[-1]
-            if not len(prev):
-                break
             first = prev[:, 0]
             start = np.searchsorted(edge_codes, first * n + prev[:, -1]) + 1
             counts = row_end[first] - start
@@ -298,11 +300,6 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             if kind == "cech":
                 center, radius = center[keep], radius[keep]
 
-    # every dimension up to q_max has its arrays, if empty
-    for k in range(len(simplices), q_max + 1):
-        simplices.append(np.empty((0, k + 1), dtype=np.intp))
-        times.append(np.empty(0))
-        codes.append(np.empty(0, dtype=np.intp))
     sizes = [len(s) for s in simplices]
     times_arr = np.concatenate(times)
     dims_arr = np.repeat(np.arange(len(sizes)), sizes)

@@ -252,9 +252,10 @@ def persistent_betti(D: PersistenceDiagram, query: RankQuery) -> int:
 def boundary_masks(C: FilteredComplex) -> list[int]:
     """Column i = XOR of 1<<j over the facets j of cell i, with j a position in
     the whole complex's stored order."""
-    idx = {v: i for i, v in enumerate(C.verts)}
+    verts = list(C.verts)
+    idx = {v: i for i, v in enumerate(verts)}
     masks: list[int] = []
-    for v in C.verts:
+    for v in verts:
         if len(v) == 1:
             masks.append(0)
             continue

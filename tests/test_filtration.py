@@ -432,7 +432,8 @@ def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
         assert len(verts) == len(C.verts) == C.n_cells > 500
         assert all(type(v) is tuple and all(type(i) is int for i in v) for v in verts)
         assert [len(v) - 1 for v in verts] == C.dims.tolist()
-        assert list(zip(C.times.tolist(), C.dims.tolist(), verts)) == sorted(zip(C.times.tolist(), C.dims.tolist(), verts))
+        keys = list(zip(C.times.tolist(), C.dims.tolist(), verts))
+        assert keys == sorted(keys)
         assert [C.verts[i] for i in range(0, C.n_cells, 7)] == verts[::7]
         assert C.verts[-1] == verts[-1]
         assert dataclasses.replace(C, times=C.times.copy()).verts is C.verts
