@@ -194,7 +194,9 @@ def close_pairs(pts: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]
     # disagree by 1 ulp with the norms used for filtration times
     cand = cKDTree(pts).query_pairs(cutoff * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
     cand = np.sort(np.asarray(cand, dtype=np.intp).reshape(-1, 2), axis=1)
-    cand = cand[np.argsort(cand[:, 0] * len(pts) + cand[:, 1])]  # distinct keys
+    # the keys i * n + j are distinct, so a plain argsort gives the
+    # lexicographic order
+    cand = cand[np.argsort(cand[:, 0] * len(pts) + cand[:, 1])]
     lengths = _norms(pts[cand[:, 0]] - pts[cand[:, 1]])
     keep = lengths <= cutoff
     return cand[keep], lengths[keep]
