@@ -108,7 +108,9 @@ class Simplices(Sequence):
     def __len__(self) -> int:
         return sum(len(at) for at in self.positions)
 
-    def __getitem__(self, i) -> tuple[int, ...]:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
         i = range(len(self))[i]
         for rows, at in zip(self.rows, self.positions):
             hit = np.flatnonzero(at == i)

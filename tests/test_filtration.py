@@ -435,7 +435,7 @@ def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
         keys = list(zip(C.times.tolist(), C.dims.tolist(), verts))
         assert keys == sorted(keys)
         assert [C.verts[i] for i in range(0, C.n_cells, 7)] == verts[::7]
-        assert C.verts[-1] == verts[-1]
+        assert C.verts[-1] == verts[-1] and C.verts[3:9] == verts[3:9]
         assert dataclasses.replace(C, times=C.times.copy()).verts is C.verts
 
         i = int(np.flatnonzero(C.dims == 1)[0])
