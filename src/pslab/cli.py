@@ -10,6 +10,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -153,16 +154,7 @@ def _cmd_alpha(cfg: dict, seed: RngSeed, out: str):
         seed,
         kind=cfg.get("kind", "rips"),
     )
-    payload = {
-        "r": est.r,
-        "s": est.s,
-        "q": est.q,
-        "value": est.value,
-        "standard_error": est.standard_error,
-        "truncation_radius": est.truncation_radius,
-        "censored_fraction": est.censored_fraction,
-    }
-    _write(out, "alpha.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out, "alpha.json", json.dumps(dataclasses.asdict(est), indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_clt(cfg: dict, seed: RngSeed, out: str):
@@ -176,7 +168,6 @@ def _cmd_clt(cfg: dict, seed: RngSeed, out: str):
         replicates=int(cfg["replicates"]),
         seed=seed,
         r_max=float(cfg["r_max"]),
-        q_max=int(cfg["q_max"]),
     )
     result = run_clt(config)
     _write(out, "replicates.csv", replicates_csv(result))

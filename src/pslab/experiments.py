@@ -9,7 +9,6 @@ only from the seed derived for index i, so no replicate depends on another.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -193,7 +192,6 @@ class CltConfig:
     replicates: int
     seed: RngSeed
     r_max: float
-    q_max: int
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple((float(r), float(s)) for r, s in self.pairs))
@@ -206,8 +204,6 @@ class CltConfig:
             raise DomainError("at least one (r,s) pair required")
         if self.r_max < max(s for _, s in self.pairs):
             raise DomainError("r_max cap below the largest s")
-        if self.q_max < self.q + 1:
-            raise DomainError("q_max cap must exceed q")
         if self.replicates < 50:
             raise DomainError("at least 50 replicates required")
         if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid, default=0) <= 0:
@@ -226,11 +222,9 @@ class CltPerN:
 class CltResult:
     config: CltConfig
     per_n: dict
-    elapsed: float
 
 
 def run_clt(config: CltConfig) -> CltResult:
-    t0 = time.time()
     l = len(config.pairs)
     per_n: dict[int, CltPerN] = {}
     for n_idx, n in enumerate(config.n_grid):
@@ -261,7 +255,7 @@ def run_clt(config: CltConfig) -> CltResult:
                 sc = NormalityScore(math.nan, math.nan, math.nan, math.nan)
             scores.append({"label": label, **sc._asdict()})
         per_n[n] = CltPerN(betas, std, cov, scores)
-    return CltResult(config, per_n, time.time() - t0)
+    return CltResult(config, per_n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ paired at once and kept as a lazy pivot, whose int is built only if a later
 column's reduction lands on its low.
 `persistent_betti_direct` is the independent oracle: it recomputes ranks by
 its own dense elimination over `boundary_masks`, its own facet code, which
-indexes chains by the whole complex (bit i = cell i in the stored order).
+indexes chains by the whole complex (bit i = cell i in the stored order);
+`persistent_betti_direct_all` answers many queries from one set of masks.
 """
 
 from __future__ import annotations
@@ -302,35 +303,43 @@ def _nullspace_combos(cols: list[int]) -> list[int]:
 
 
 def persistent_betti_direct(C: FilteredComplex, query: RankQuery) -> int:
-    """Rank definition computed by dense elimination, independent of `reduce`.
+    """Rank definition computed by dense elimination, independent of `reduce`."""
+    return persistent_betti_direct_all(C, [query])[0]
 
-    Returns dim Z_q(K_r) - dim(Z_q(K_r) ^ B_q(K_s)), evaluated as
+
+def persistent_betti_direct_all(C: FilteredComplex, queries) -> list[int]:
+    """`persistent_betti_direct` of each query, with the masks taken once.
+
+    Each is dim Z_q(K_r) - dim(Z_q(K_r) ^ B_q(K_s)), evaluated as
     dim(Z_q(K_r) + B_q(K_s)) - dim B_q(K_s).
     """
     if C.n_cells > ORACLE_CELL_CAP:
         raise SizeError(f"oracle restricted to <= {ORACLE_CELL_CAP} cells")
-    _check_caps(query, C.q_max, C.r_max)
-    q, r, s = query.q, query.r, query.s
     masks = boundary_masks(C)
+    cells: dict[int, list[tuple[int, float]]] = {}  # dimension -> (position, time)
+    for i, (k, t) in enumerate(zip(C.dims.tolist(), C.times.tolist())):
+        cells.setdefault(k, []).append((i, t))
+    out = []
+    for query in queries:
+        _check_caps(query, C.q_max, C.r_max)
+        q, r, s = query.q, query.r, query.s
+        q_cells_r = [i for i, t in cells.get(q, []) if t <= r]
+        z_combos = _nullspace_combos([masks[i] for i in q_cells_r])
+        # kernel combos are over local column positions; lift to global cell bits
+        z_vectors = []
+        for combo in z_combos:
+            vec = 0
+            pos = 0
+            while combo:
+                if combo & 1:
+                    vec |= 1 << q_cells_r[pos]
+                combo >>= 1
+                pos += 1
+            z_vectors.append(vec)
 
-    q_cells_r = [i for i in range(C.n_cells) if C.dims[i] == q and C.times[i] <= r]
-    z_combos = _nullspace_combos([masks[i] for i in q_cells_r])
-    # kernel combos are over local column positions; lift to global cell bits
-    z_vectors = []
-    for combo in z_combos:
-        vec = 0
-        pos = 0
-        while combo:
-            if combo & 1:
-                vec |= 1 << q_cells_r[pos]
-            combo >>= 1
-            pos += 1
-        z_vectors.append(vec)
-
-    b_gens = [masks[i] for i in range(C.n_cells) if C.dims[i] == q + 1 and C.times[i] <= s]
-    dim_b = _rank(b_gens)
-    dim_zb = _rank(z_vectors + b_gens)
-    return dim_zb - dim_b
+        b_gens = [masks[i] for i, t in cells.get(q + 1, []) if t <= s]
+        out.append(_rank(z_vectors + b_gens) - _rank(b_gens))
+    return out
 
 
 def connected_component_count(P: PointCloud, threshold: float, kind: str = "rips") -> int:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,11 +102,6 @@ class BallWindow:
     @property
     def d(self) -> int:
         return len(self.center)
-
-    @property
-    def volume(self) -> float:
-        d = self.d
-        return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * self.radius**d
 
     def to_json(self) -> dict:
         return {"kind": "ball", "center": list(self.center), "radius": self.radius}
@@ -209,11 +203,9 @@ class Density:
     """
 
     d: int
-    kind: str  # constant | blocked | callable
     sup_bound: float
     inf_bound: float
     evaluator: Callable[[np.ndarray], np.ndarray]
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.inf_bound <= 0:
@@ -228,18 +220,13 @@ class Density:
             raise DomainError(f"density evaluator returned shape {values.shape} for {x.shape[0]} rows, not one value per row")
         return values
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "kind": self.kind, **self.descriptor}
-
 
 def constant_density(d: int) -> Density:
     return Density(
         d=d,
-        kind="constant",
         sup_bound=1.0,
         inf_bound=1.0,
         evaluator=lambda x: np.ones(x.shape[0]),
-        descriptor={"value": 1.0},
     )
 
 
@@ -273,11 +260,9 @@ class BlockedDensity:
         w = np.asarray(self.weights, dtype=float)
         return Density(
             d=self.d,
-            kind="blocked",
             sup_bound=float(w.max()),
             inf_bound=float(w.min()),
             evaluator=lambda x: w[self.cell_index(x)],
-            descriptor={"m": self.m, "weights": list(self.weights)},
         )
 
 

@@ -129,9 +129,11 @@ def window_radius_around(window, z: np.ndarray) -> float:
 
 
 def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float | None):
-    """z and the added points Q as float arrays, the window radius (by default
-    the largest ball around z inside P's window), and a*(t) = max |Q - z| +
-    mu(t), which the window radius must reach."""
+    """P cut to the window ball B(z, w), in its order; z and the added points
+    Q as float arrays; w (by default the largest ball around z inside P's
+    window); and a*(t) = max |Q - z| + mu(t), which w must reach.  Both radii
+    live on B(z, w), and a simplex on the kept points keeps its entry time
+    and stored order, so the cut is exact."""
     if t < 0:
         raise DomainError(f"filtration time {t} must be nonnegative")
     z = np.asarray(z, dtype=float)
@@ -142,7 +144,8 @@ def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float
     a_star = L + mu(kind, t)
     if window_radius < a_star:
         raise DomainError(f"window radius {window_radius} below a*({t}) = {a_star}")
-    return z, Q, window_radius, a_star
+    P = PointCloud(P.points[np.linalg.norm(P.points - z, axis=1) <= window_radius], P.window)
+    return P, z, Q, window_radius, a_star
 
 
 class _GlobalComplex:
@@ -227,10 +230,9 @@ def stabilization_trace(
 ) -> StabilizationTrace:
     if not 0 <= r <= s:
         raise DomainError("weak radius needs 0 <= r <= s")
-    z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
+    P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
-    events = np.unique(G.point_dist[G.point_dist <= window_radius])
-    probes = np.unique(np.concatenate([events, [a_star, window_radius]]))
+    probes = np.unique(np.concatenate([G.point_dist, [a_star, window_radius]]))
     return StabilizationTrace(z, probes, *G.differences(probes, r, P.d))
 
 
@@ -284,7 +286,7 @@ def strong_radius_estimate(
     unbounded and the estimate is censored at w.  At q = 0 every new vertex
     has zero boundary, so it is positive at once and the estimate is a*(r).
     """
-    z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
+    P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
     if q == 0:
         return RadiusEstimate(float(a_star), False, 0.0)
     pts = np.vstack([P.points, Q]) if P.n else Q
@@ -298,14 +300,12 @@ def strong_radius_estimate(
     # every simplex through Q at parameter r sits inside B(z, a*(r))
     assert dist[new].max() <= a_star + 1e-9
 
-    inside = dist <= window_radius
-    edges = rows[1]
     sets = UnionFind(len(pts))
-    for a, b in edges[inside[edges].all(axis=1)].tolist():
+    for a, b in rows[1].tolist():
         sets.union(a, b)
     roots = {sets.find(v) for v in new[:, 0].tolist()}
-    reach = max(float(dist[p]) for p in np.flatnonzero(inside).tolist() if sets.find(p) in roots)
-    horizons = np.unique(np.concatenate([dist[(dist > a_star) & inside], [a_star, window_radius]]))
+    reach = max(float(dist[p]) for p in range(len(pts)) if sets.find(p) in roots)
+    horizons = np.unique(np.concatenate([dist[dist > a_star], [a_star, window_radius]]))
     settled = np.flatnonzero(reach <= horizons - 2.0 * mu(kind, r))
     if len(settled):
         return RadiusEstimate(float(horizons[settled[0]]), False, 0.0)

@@ -26,7 +26,7 @@ from pslab.persistence import (
     RankQuery,
     connected_component_count,
     persistent_betti,
-    persistent_betti_direct,
+    persistent_betti_direct_all,
     reduce,
 )
 from pslab.point_process import (
@@ -60,14 +60,11 @@ def test_criterion_1_oracle_equivalence():
         for kind in ("rips", "cech"):
             C = build(P, kind, r_max=3.0, q_max=2)
             D = reduce(C)
-            times = np.unique(C.times)
-            for i, r in enumerate(times):
-                for s in times[i:]:
-                    for q in (0, 1):
-                        query = RankQuery(q, float(r), float(s))
-                        checks += 1
-                        if D.persistent_betti(query) != persistent_betti_direct(C, query):
-                            mismatches += 1
+            times = np.unique(C.times).tolist()
+            queries = [RankQuery(q, r, s) for i, r in enumerate(times) for s in times[i:] for q in (0, 1)]
+            checks += len(queries)
+            direct = persistent_betti_direct_all(C, queries)
+            mismatches += sum(D.persistent_betti(query) != want for query, want in zip(queries, direct))
     _report(1, mismatches == 0, f"{checks} rank queries, {mismatches} mismatches")
 
 
@@ -137,7 +134,6 @@ def _clt_cfg(process, pairs, n_grid, reps, q, r_max, seed):
         replicates=reps,
         seed=RngSeed(seed, 0),
         r_max=r_max,
-        q_max=q + 1,
     )
 
 

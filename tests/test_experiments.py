@@ -142,7 +142,6 @@ def _clt_config(process, pairs=((0.0, 0.0),), n_grid=(100,), reps=400, q=0, r_ma
         replicates=reps,
         seed=RngSeed(seed, 0),
         r_max=r_max,
-        q_max=q + 1,
     )
 
 
@@ -180,8 +179,6 @@ def test_clt_config_validation():
         _clt_config("poisson", pairs=())
     with pytest.raises(DomainError):
         _clt_config("poisson", pairs=((0.3, 0.6),), r_max=0.5)
-    with pytest.raises(DomainError):
-        CltConfig("poisson", KAPPA, "rips", 1, ((0.0, 0.0),), (50,), 100, RngSeed(0, 0), 0.0, 1)
     with pytest.raises(DomainError):
         _clt_config("poisson", reps=49)
     with pytest.raises(DomainError):

@@ -88,8 +88,8 @@ def test_coupling_determinism():
 def test_coupling_monotonicity():
     # kappa <= kappa' pointwise with shared sup_bound: the smaller-intensity
     # cloud must be a subset of the larger one (thinning construction)
-    lo = Density(2, "callable", 1.0, 0.5, lambda x: np.full(x.shape[0], 0.5))
-    hi = Density(2, "callable", 1.0, 1.0, lambda x: np.ones(x.shape[0]))
+    lo = Density(2, 1.0, 0.5, lambda x: np.full(x.shape[0], 0.5))
+    hi = Density(2, 1.0, 1.0, lambda x: np.ones(x.shape[0]))
     for i in range(20):
         A = sample_poisson_inhomogeneous(lo, 80.0, RngSeed(13, i))
         B = sample_poisson_inhomogeneous(hi, 80.0, RngSeed(13, i))
@@ -160,8 +160,8 @@ def test_binomial_matches_per_attempt_loop(d):
 
 def test_binomial_cap_raises_for_density_far_below_sup_bound(monkeypatch):
     # the evaluator accepts a mark only if it is exactly 0.0
-    zero = Density(2, "callable", 1.0, 1.0, lambda x: np.zeros(x.shape[0]))
-    tiny = Density(2, "callable", 1e6, 1.0, lambda x: np.ones(x.shape[0]))
+    zero = Density(2, 1.0, 1.0, lambda x: np.zeros(x.shape[0]))
+    tiny = Density(2, 1e6, 1.0, lambda x: np.ones(x.shape[0]))
     # at the real cap: blocks are bounded, so the sampler never holds
     # REJECTION_CAP attempts at once
     tracemalloc.start()
@@ -182,7 +182,7 @@ def test_binomial_cap_raises_for_density_far_below_sup_bound(monkeypatch):
 def test_binomial_cap_is_per_point_across_blocks(monkeypatch):
     # sup_bound 1 with density 1/20 everywhere: blocks of 64 rows hold about
     # three acceptances each, so runs of rejections straddle block boundaries
-    thin = Density(2, "callable", 1.0, 0.05, lambda x: np.full(x.shape[0], 0.05))
+    thin = Density(2, 1.0, 0.05, lambda x: np.full(x.shape[0], 0.05))
     raised = returned = 0
     for cap in (30, 80):
         monkeypatch.setattr(point_process, "REJECTION_CAP", cap)
@@ -220,9 +220,9 @@ def test_binomial_cap_is_per_point_across_blocks(monkeypatch):
 
 def test_density_evaluator_must_be_row_wise():
     rows = np.full((5, 2), 0.5)
-    scalar = Density(2, "callable", 1.0, 1.0, lambda x: 1.0)
-    column = Density(2, "callable", 1.0, 1.0, lambda x: np.ones((x.shape[0], 1)))
-    short = Density(2, "callable", 1.0, 1.0, lambda x: np.ones(1))
+    scalar = Density(2, 1.0, 1.0, lambda x: 1.0)
+    column = Density(2, 1.0, 1.0, lambda x: np.ones((x.shape[0], 1)))
+    short = Density(2, 1.0, 1.0, lambda x: np.ones(1))
     for density in (scalar, column, short):
         with pytest.raises(DomainError):
             density(rows)

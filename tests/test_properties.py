@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslab.filtration import _lookup, build
-from pslab.persistence import RankQuery, _facet_ranks, boundary_masks, persistent_betti_direct, reduce
+from pslab.persistence import RankQuery, _facet_ranks, boundary_masks, persistent_betti_direct_all, reduce
 from pslab.point_process import Box, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
 
 # a coordinate is uniform or on a coarse grid, so that ties and repeated
@@ -141,11 +141,8 @@ def test_reduce_agrees_with_oracle_on_event_grid(P, cap, q_max):
     C = build(P, kind, r_max, q_max)
     D = reduce(C)
     grid = [0.0, *C.event_times().tolist()]
-    for q in range(q_max):
-        for i, r in enumerate(grid):
-            for s in grid[i:]:
-                query = RankQuery(q, r, s)
-                assert D.persistent_betti(query) == persistent_betti_direct(C, query)
+    queries = [RankQuery(q, r, s) for q in range(q_max) for i, r in enumerate(grid) for s in grid[i:]]
+    assert [D.persistent_betti(query) for query in queries] == persistent_betti_direct_all(C, queries)
 
 
 def _reference_facet_ranks(C, top):

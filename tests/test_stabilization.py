@@ -292,7 +292,7 @@ def _strong_reference(P, Q, z, r, q, kind, w):
     and every new simplex is inserted again; a new simplex is resolved when
     its boundary is already in the span (positive) or when the components of
     its vertices in B(z, R) lie inside B(z, R - 2 mu(r)) (locality)."""
-    z, Q, w, a_star = stabilization._radius_setup(P, Q, z, r, kind, w)
+    _, z, Q, w, a_star = stabilization._radius_setup(P, Q, z, r, kind, w)
     interaction = mu(kind, r)
     G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
     C = G.C
@@ -364,6 +364,40 @@ def test_strong_estimate_matches_per_horizon_echelon_copies():
     assert 0 < censored < checked
 
 
+def test_points_beyond_the_window_change_nothing():
+    """Both radii live on B(z, w): points added in the corners of the sampling
+    box, past w, and interleaved with the base points leave the weak trace CSV
+    and the strong estimates unchanged.  Each corner set is also tried as the
+    whole cloud, with no base point inside the window."""
+    rng = np.random.default_rng(73)
+    for d, w, Q in ((2, 2.5, [[0.1, -0.2], [0.3, 0.1]]), (3, 1.6, [[0.1, -0.2, 0.0], [0.3, 0.1, 0.1]])):
+        box, Q, z = Box((-w,) * d, (w,) * d), np.array(Q), np.zeros(d)
+        for kind, r, s in (("rips", 0.5, 0.7), ("cech", 0.25, 0.35)):
+            for _ in range(3):
+                base = rng.uniform(-w, w, (rng.poisson(1.5 * (2.0 * w) ** d), d))
+                corners = rng.uniform(-w, w, (40, d))
+                corners = corners[np.linalg.norm(corners, axis=1) > w]
+                mixed = np.insert(base, np.sort(rng.integers(0, len(base) + 1, len(corners))), corners, axis=0)
+                for inner, outer in ((base, mixed), (np.empty((0, d)), corners)):
+                    P, P_out = PointCloud(inner, box), PointCloud(outer, box)
+                    trace = stabilization_trace(P, Q, z, r, s, kind, window_radius=w).to_csv()
+                    assert stabilization_trace(P_out, Q, z, r, s, kind, window_radius=w).to_csv() == trace
+                    for q in (0, 1):
+                        want = strong_radius_estimate(P, Q, z, r, q, kind, window_radius=w)
+                        assert strong_radius_estimate(P_out, Q, z, r, q, kind, window_radius=w) == want
+    # w = a*(r), and a base point within mu(r) of Q, on the ray from z, lies
+    # one rounding past w: it is cut, so both radii read as with no base point
+    Q, r = np.array([[-0.48546371963618673, 0.43322390022543367]]), 0.268660632869464
+    a_star = float(np.linalg.norm(Q, axis=1).max()) + r
+    P = _cloud([(-0.6859141265264288, 0.6121042234344365)])
+    assert np.linalg.norm(P.points - Q, axis=1)[0] <= r < np.linalg.norm(P.points, axis=1)[0] - a_star + r
+    for q in (0, 1):
+        est = strong_radius_estimate(P, Q, np.zeros(2), r, q, window_radius=a_star)
+        assert est == RadiusEstimate(a_star, False, 0.0)
+    trace = stabilization_trace(P, Q, np.zeros(2), r, r, window_radius=a_star).to_csv()
+    assert trace == stabilization_trace(_empty(), Q, np.zeros(2), r, r, window_radius=a_star).to_csv()
+
+
 def test_radii_reject_negative_time_and_unknown_kind():
     P = sample_poisson_homogeneous(1.0, Box((-3.0, -3.0), (3.0, 3.0)), RngSeed(11, 0))
     Q, z = np.zeros((1, 2)), np.zeros(2)
@@ -394,7 +428,7 @@ def test_strong_estimate_at_q0_is_a_star_without_a_build(monkeypatch):
         Q = rng.uniform(-0.5, 0.5, (1 + rep % 3, d))
         z = rng.uniform(-0.2, 0.2, d)
         for kind, r in (("rips", 0.5), ("cech", 0.3)):
-            a_star = stabilization._radius_setup(P, Q, z, r, kind, None)[3]
+            a_star = stabilization._radius_setup(P, Q, z, r, kind, None)[4]
             assert strong_radius_estimate(P, Q, z, r, 0, kind) == RadiusEstimate(a_star, False, 0.0)
 
 
