@@ -373,9 +373,7 @@ def depoissonization_check(
         sd = seed.derive(rep)
         base = sample_binomial(n + 1, density, sd).scale(scale)
         smaller = PointCloud(base.points[:-1], base.window)
-        b_small = _betti_vector(smaller, q, [(r, s)], kind, s)[0]
-        b_big = _betti_vector(base, q, [(r, s)], kind, s)[0]
-        return b_big - b_small
+        return add_one_cost(AddOneQuery(smaller, base.points[-1:], q, r, s, kind))
 
     vals = np.array([one(i) for i in range(reps)])
     mean_r = float(vals.mean())

@@ -98,12 +98,14 @@ def _enclosing_balls(X: np.ndarray, fc: np.ndarray, fr: np.ndarray) -> tuple[np.
 class Simplices(Sequence):
     """The cells of a filtered complex as arrays, per dimension k <= q_max:
     `rows[k]`, the k-simplices as ascending vertex-id rows in lexicographic
-    order; `codes[k]`, their `_lookup` keys; and `positions[k]`, the position
-    of each row in the complex's stored order.  The vertices are the 0-cells
-    0..n-1.  As a sequence it reads the vertex tuples in the stored order."""
+    order; `facets[k]`, whose column c holds, for each row, the index in
+    `rows[k - 1]` of its facet without vertex c (no columns at k = 0); and
+    `positions[k]`, the position of each row in the complex's stored order.
+    The vertices are the 0-cells 0..n-1.  As a sequence it reads the vertex
+    tuples in the stored order."""
 
-    def __init__(self, rows: list[np.ndarray], codes: list[np.ndarray], positions: list[np.ndarray]):
-        self.rows, self.codes, self.positions = rows, codes, positions
+    def __init__(self, rows: list[np.ndarray], facets: list[np.ndarray], positions: list[np.ndarray]):
+        self.rows, self.facets, self.positions = rows, facets, positions
 
     def __len__(self) -> int:
         return sum(len(at) for at in self.positions)
@@ -132,8 +134,6 @@ class FilteredComplex:
     `Simplices`, the arrays `build` makes, and reads as vertex tuples; a list
     of vertex tuples given in its place is converted to them once."""
 
-    d: int
-    kind: str  # cech | rips
     q_max: int
     r_max: float
     verts: Simplices
@@ -143,12 +143,12 @@ class FilteredComplex:
     def __post_init__(self):
         # ascending vertex tuples in the stored order, as `complex_from_text`
         # gives, become the arrays once; if they are not closed under faces,
-        # `_lookup` cannot use their codes
+        # `_lookup` cannot find their facets
         if isinstance(self.verts, Simplices):
             return
         verts = list(self.verts)
         sizes = np.array([len(v) for v in verts], dtype=np.intp)
-        rows, codes, positions = [], [], []
+        rows, facets, positions, codes = [], [], [], []
         for k in range(max(self.q_max, int(sizes.max(initial=1)) - 1) + 1):
             at = np.flatnonzero(sizes == k + 1)
             block = np.array([verts[i] for i in at.tolist()], dtype=np.intp).reshape(-1, k + 1)
@@ -156,8 +156,13 @@ class FilteredComplex:
             rows.append(block[lex])
             positions.append(at[lex])
             n = len(rows[0])
-            codes.append(_lookup(codes, n, rows[k][:, :k]) * n + rows[k][:, k] if k else rows[0][:, 0])
-        self.verts = Simplices(rows, codes, positions)
+            if k:
+                facets.append(np.column_stack([_lookup(codes, n, np.delete(rows[k], c, axis=1)) for c in range(k + 1)]))
+                codes.append(facets[k][:, k] * n + rows[k][:, k])
+            else:
+                facets.append(np.empty((n, 0), dtype=np.intp))
+                codes.append(rows[0][:, 0])
+        self.verts = Simplices(rows, facets, positions)
 
     @property
     def n_cells(self) -> int:
@@ -173,7 +178,7 @@ class FilteredComplex:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def complex_from_text(text: str, d: int, kind: str, q_max: int, r_max: float) -> FilteredComplex:
+def complex_from_text(text: str, q_max: int, r_max: float) -> FilteredComplex:
     verts: list[tuple[int, ...]] = []
     times: list[float] = []
     dims: list[int] = []
@@ -184,7 +189,7 @@ def complex_from_text(text: str, d: int, kind: str, q_max: int, r_max: float) ->
         times.append(float(parts[0]))
         dims.append(int(parts[1]))
         verts.append(tuple(int(x) for x in parts[2:]))
-    return FilteredComplex(d, kind, q_max, r_max, verts, np.asarray(times), np.asarray(dims, dtype=int))
+    return FilteredComplex(q_max, r_max, verts, np.asarray(times), np.asarray(dims, dtype=int))
 
 
 def close_pairs(pts: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,75 +239,64 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     n = pts.shape[0]
 
     # Per dimension k: the k-simplices as vertex rows in lexicographic order,
-    # their entry times, and their lookup codes (see `_lookup`); for Cech also
-    # the centers and radii of their smallest enclosing balls, from which the
-    # next dimension's balls are built.
+    # their entry times and their facets (see `Simplices`); for Cech also the
+    # centers and radii of their smallest enclosing balls, from which the next
+    # dimension's balls are built.  `codes` keys the rows of the last
+    # dimension as (index of the prefix face) * n + last vertex, ascending.
     simplices = [np.arange(n, dtype=np.intp).reshape(n, 1)]
     times = [np.zeros(n)]
-    codes = [np.arange(n, dtype=np.intp)]
+    facets = [np.empty((n, 0), dtype=np.intp)]
     if q_max >= 1:
         # every close pair is an edge: its length is at most mu(kind, r_max),
         # and halving it for Cech is exact; at r_max = 0 there is no edge, and
         # every higher dimension is empty too
         edges, lengths = close_pairs(pts, cutoff) if r_max > 0 else (np.empty((0, 2), dtype=np.intp), np.empty(0))
-        # forward adjacency of the cutoff graph: the rows of `edges` grouped by
-        # their first vertex, each group ascending in the second
-        edge_codes = edges[:, 0] * n + edges[:, 1]
-        row_end = np.searchsorted(edges[:, 0], np.arange(1, n + 1))
         simplices.append(edges)
         times.append(lengths if kind == "rips" else lengths / 2.0)
-        codes.append(edge_codes)
-        diam = lengths
+        facets.append(edges[:, ::-1])
+        codes = edges[:, 0] * n + edges[:, 1]
         if kind == "cech":
             center = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
             radius = _norms(pts[edges[:, 0]] - center)
-        # Clique expansion: a k-simplex extends its prefix face by a common
-        # forward neighbor of all its vertices; the diameter is tracked along
-        # the way from the close-pair lengths of the new edges, at the edge
-        # positions the adjacency check finds.
+        # Sibling join: a k-simplex joins a (k-1)-row `owner` with a later row
+        # `sibling` of the same prefix face, the rest of owner's run of equal
+        # codes // n.  Its facet without vertex k is owner, the one without
+        # k - 1 is sibling, and the one without c < k - 1 has the code
+        # facets[k-1][owner, c] * n + w; the candidate is kept only if every
+        # facet is a cell, which for k >= 2 means a clique for Rips, and for
+        # Cech also that no facet entered above r_max.
         for k in range(2, q_max + 1):
-            prev = simplices[-1]
-            first = prev[:, 0]
-            start = np.searchsorted(edge_codes, first * n + prev[:, -1]) + 1
-            counts = row_end[first] - start
-            owner = np.repeat(np.arange(len(prev)), counts)
-            offset = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-            pos = np.repeat(start, counts) + offset
-            w = edges[pos, 1]
-            new_diam = np.maximum(diam[owner], lengths[pos])
-            ok = np.ones(len(w), dtype=bool)
-            for c in range(1, k):
-                key = prev[owner, c] * n + w
-                pos = np.minimum(np.searchsorted(edge_codes, key), len(edge_codes) - 1)
-                ok &= edge_codes[pos] == key
-                new_diam = np.maximum(new_diam, lengths[pos])
-            owner, w, new_diam = owner[ok], w[ok], new_diam[ok]
-            cells = np.column_stack([prev[owner], w])
-            if kind == "rips":
-                t = new_diam
-            else:
-                # one look-up per facet gives its ball, its time and whether it
-                # was kept: the prefix facet is `owner`, but another facet may
-                # have entered above r_max, and then `_lookup` finds another
-                # row; the time is the largest of the radius and the facet
-                # times, so that no facet enters after its simplex
-                at = np.empty(cells.shape, dtype=np.intp)
-                at[:, k] = owner
-                held = np.ones(len(cells), dtype=bool)
-                for c in range(k):
-                    facets = np.delete(cells, c, axis=1)
-                    at[:, c] = np.minimum(_lookup(codes, n, facets), len(prev) - 1)
-                    if k >= 3:  # every close pair is an edge, so a triangle's facets are held
-                        held &= (prev[at[:, c]] == facets).all(axis=1)
-                center, radius = _enclosing_balls(pts[cells], center[at], radius[at])
-                t = np.where(held, np.maximum(radius, times[-1][at].max(axis=1)), np.inf)
-            keep = t <= r_max
-            simplices.append(cells[keep])
-            times.append(t[keep])
-            codes.append(owner[keep] * n + w[keep])
-            diam = new_diam[keep]
+            prefix = codes // n
+            m = len(codes)
+            counts = np.searchsorted(prefix, prefix, side="right") - np.arange(1, m + 1)
+            owner = np.repeat(np.arange(m), counts)
+            sibling = owner + 1 + np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+            w = simplices[k - 1][sibling, -1]
+            at = np.empty((len(owner), k + 1), dtype=np.intp)
+            at[:, k], at[:, k - 1] = owner, sibling
+            ok = np.ones(len(owner), dtype=bool)
+            for c in range(k - 1):
+                key = facets[k - 1][owner, c] * n + w
+                at[:, c] = np.minimum(np.searchsorted(codes, key), m - 1)
+                ok &= codes[at[:, c]] == key
+            owner, w, at = owner[ok], w[ok], at[ok]
+            cells = np.column_stack([simplices[k - 1][owner], w])
+            codes = owner * n + w
+            # the largest facet time, a Rips diameter (max is exact); taken
+            # column by column, which is faster than a row max on narrow rows
+            t = times[k - 1][at[:, 0]]
+            for c in range(1, k + 1):
+                t = np.maximum(t, times[k - 1][at[:, c]])
             if kind == "cech":
-                center, radius = center[keep], radius[keep]
+                # the time is the largest of the radius and the facet times,
+                # so that no facet enters after its simplex
+                center, radius = _enclosing_balls(pts[cells], center[at], radius[at])
+                t = np.maximum(radius, t)
+                keep = t <= r_max
+                cells, t, at, codes, center, radius = (x[keep] for x in (cells, t, at, codes, center, radius))
+            simplices.append(cells)
+            times.append(t)
+            facets.append(at)
 
     sizes = [len(s) for s in simplices]
     times_arr = np.concatenate(times)
@@ -314,8 +308,7 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     positions = np.split(position, np.cumsum(sizes)[:-1])
-    return FilteredComplex(P.d, kind, q_max, r_max, Simplices(simplices, codes, positions), times_arr[order],
-                           dims_arr[order])
+    return FilteredComplex(q_max, r_max, Simplices(simplices, facets, positions), times_arr[order], dims_arr[order])
 
 
 def build_rips(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
@@ -335,12 +328,7 @@ def restrict(P: PointCloud, center, a: float) -> PointCloud:
     if a < 0:
         raise DomainError("restriction radius must be nonnegative")
     c = np.asarray(center, dtype=float)
-    if P.n:
-        keep = np.linalg.norm(P.points - c, axis=1) <= a
-        pts = P.points[keep]
-    else:
-        pts = P.points
-    return PointCloud(pts, BallWindow(tuple(c), a))
+    return PointCloud(P.points[np.linalg.norm(P.points - c, axis=1) <= a], BallWindow(tuple(c), a))
 
 
 def _point_set(P: PointCloud) -> set[tuple[float, ...]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import FilteredComplex, _lookup, _stable_argsort, close_pairs, mu
+from .filtration import FilteredComplex, _stable_argsort, close_pairs, mu
 from .point_process import DomainError, PointCloud, csv_text
 
 ORACLE_CELL_CAP = 5000
@@ -57,7 +57,6 @@ class PersistenceDiagram:
     qs: np.ndarray
     births: np.ndarray
     deaths: np.ndarray
-    kind: str
     q_max: int
     r_max: float
 
@@ -68,13 +67,13 @@ class PersistenceDiagram:
         return csv_text(["q", "birth", "death"], zip(self.qs, self.births, self.deaths))
 
 
-def diagram_from_csv(text: str, kind: str = "", q_max: int = 0, r_max: float = math.inf) -> PersistenceDiagram:
+def diagram_from_csv(text: str, q_max: int = 0, r_max: float = math.inf) -> PersistenceDiagram:
     rows = list(csv.reader(io.StringIO(text)))
     body = rows[1:]
     qs = np.array([int(r[0]) for r in body], dtype=int)
     births = np.array([float(r[1]) for r in body])
     deaths = np.array([math.inf if r[2] == "inf" else float(r[2]) for r in body])
-    return PersistenceDiagram(qs, births, deaths, kind, q_max, r_max)
+    return PersistenceDiagram(qs, births, deaths, q_max, r_max)
 
 
 class Echelon:
@@ -140,20 +139,16 @@ def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[n
     the (k-1)-cells of the facets of the k-cell of rank b.  A rank is a
     position within one dimension, in the complex's stored order."""
     S = C.verts
-    n = len(S.rows[0])
     cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
     rank = np.empty(C.n_cells, dtype=np.intp)
     for cells_k in cells:
         rank[cells_k] = np.arange(len(cells_k))
     facets: list = [None]
     for k in range(1, top + 1):
-        # the facets of the lexicographic rows, looked up as (k-1)-rows; the
-        # one without the last vertex is the prefix face that keys the code
-        rows = S.rows[k]
-        lex = [_lookup(S.codes, n, np.delete(rows, c, axis=1)) for c in range(k)] + [S.codes[k] // n]
-        by_rank = np.empty(len(rows), dtype=np.intp)
-        by_rank[rank[S.positions[k]]] = np.arange(len(rows))
-        facets.append(rank[S.positions[k - 1][np.column_stack(lex)[by_rank]]])
+        # the stored facets of the lexicographic rows, taken in rank order
+        by_rank = np.empty(len(S.rows[k]), dtype=np.intp)
+        by_rank[rank[S.positions[k]]] = np.arange(len(by_rank))
+        facets.append(rank[S.positions[k - 1][S.facets[k][by_rank]]])
     return cells, facets
 
 
@@ -220,7 +215,6 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
         np.asarray(C.dims[keep], dtype=int),
         np.asarray(C.times[keep], dtype=float),
         ends[keep],
-        C.kind,
         C.q_max,
         C.r_max,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import build, mu
+from .filtration import build, mu, restrict
 # boundary_masks is unused here; perfbench/tracer.py patches this attribute
 from .persistence import Echelon, RankQuery, UnionFind, _facet_ranks, boundary_masks, reduce  # noqa: F401
 from .point_process import (
@@ -55,7 +55,6 @@ class AddOneQuery:
 class StabilizationTrace:
     """Step functions D1, D2 per homology degree, evaluated at event radii."""
 
-    z: np.ndarray
     radii: np.ndarray  # (m,) increasing
     d1: np.ndarray  # (m, d) rows per radius, columns per q
     d2: np.ndarray
@@ -86,11 +85,6 @@ class RadiusEstimate:
 
 @dataclass(frozen=True)
 class SwapDifferenceRecord:
-    z: np.ndarray
-    n: float
-    r: float
-    s: float
-    q: int
     value: int
     geometric_bound: int
 
@@ -129,9 +123,10 @@ def window_radius_around(window, z: np.ndarray) -> float:
 
 
 def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float | None):
-    """P cut to the window ball B(z, w), in its order; z and the added points
-    Q as float arrays; w (by default the largest ball around z inside P's
-    window); and a*(t) = max |Q - z| + mu(t), which w must reach.  Both radii
+    """P cut by `restrict` to the window ball B(z, w), in its order and with
+    that ball as its window; z and the added points Q as float arrays; w (by
+    default the largest ball around z inside P's window); and
+    a*(t) = max |Q - z| + mu(t), which w must reach.  Both radii
     live on B(z, w), and a simplex on the kept points keeps its entry time
     and stored order, so the cut is exact."""
     if t < 0:
@@ -144,8 +139,7 @@ def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float
     a_star = L + mu(kind, t)
     if window_radius < a_star:
         raise DomainError(f"window radius {window_radius} below a*({t}) = {a_star}")
-    P = PointCloud(P.points[np.linalg.norm(P.points - z, axis=1) <= window_radius], P.window)
-    return P, z, Q, window_radius, a_star
+    return restrict(P, z, window_radius), z, Q, window_radius, a_star
 
 
 class _GlobalComplex:
@@ -233,7 +227,7 @@ def stabilization_trace(
     P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
     probes = np.unique(np.concatenate([G.point_dist, [a_star, window_radius]]))
-    return StabilizationTrace(z, probes, *G.differences(probes, r, P.d))
+    return StabilizationTrace(probes, *G.differences(probes, r, P.d))
 
 
 def weak_radius(
@@ -351,7 +345,7 @@ def swap_difference(
     query = RankQuery(q, r, s)
     value = reduce(Cb).persistent_betti(query) - reduce(Cs).persistent_betti(query)
     nb, ns, nk = (int(np.isin(C.dims, (q, q + 1)).sum()) for C in (Cb, Cs, Ck))
-    return SwapDifferenceRecord(z, float(n), float(r), float(s), q, int(value), nb + ns - 2 * nk)
+    return SwapDifferenceRecord(int(value), nb + ns - 2 * nk)
 
 
 # ---------------------------------------------------------------------------

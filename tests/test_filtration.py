@@ -415,16 +415,17 @@ def test_mu():
 def test_complex_text_roundtrip():
     C = build_rips(SQUARE, r_max=2.0, q_max=2)
     text = C.to_text()
-    D = complex_from_text(text, d=2, kind="rips", q_max=2, r_max=2.0)
+    D = complex_from_text(text, q_max=2, r_max=2.0)
     assert list(D.verts) == list(C.verts)
     assert np.array_equal(D.times, C.times)
 
 
 def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
     """What readers of `verts` rely on: it yields tuples of Python ints in the
-    stored order and indexes alike; a list of tuples given in its place, even
-    one that is not closed under faces, is stored and read back as given; and
-    a complex read back from its text has the same arrays and diagram."""
+    stored order and indexes alike; each stored facet is its row without one
+    vertex; a list of tuples given in its place, even one that is not closed
+    under faces, is stored and read back as given; and a complex read back
+    from its text has the same arrays and diagram."""
     P = sample_poisson_homogeneous(1.0, Box((0.0, 0.0), (12.0, 12.0)), RngSeed(29, 0))
     for kind, r_max in (("rips", 1.5), ("cech", 0.75)):
         C = build(P, kind, r_max, 2)
@@ -437,6 +438,9 @@ def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
         assert [C.verts[i] for i in range(0, C.n_cells, 7)] == verts[::7]
         assert C.verts[-1] == verts[-1] and C.verts[3:9] == verts[3:9]
         assert dataclasses.replace(C, times=C.times.copy()).verts is C.verts
+        rows, facets = C.verts.rows, C.verts.facets
+        assert all(np.array_equal(rows[k - 1][facets[k][:, c]], np.delete(rows[k], c, axis=1))
+                   for k in range(1, len(rows)) for c in range(k + 1))
 
         i = int(np.flatnonzero(C.dims == 1)[0])
         keep = np.arange(C.n_cells) != i
@@ -444,9 +448,9 @@ def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
         D = dataclasses.replace(C, verts=dropped, times=C.times[keep], dims=C.dims[keep])
         assert list(D.verts) == dropped and D.n_cells == C.n_cells - 1
 
-        D = complex_from_text(C.to_text(), P.d, kind, 2, r_max)
+        D = complex_from_text(C.to_text(), 2, r_max)
         assert list(D.verts) == verts
-        for arrays in ("rows", "codes", "positions"):
+        for arrays in ("rows", "facets", "positions"):
             for got, want in zip(getattr(D.verts, arrays), getattr(C.verts, arrays), strict=True):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         assert reduce(D).to_csv() == reduce(C).to_csv()

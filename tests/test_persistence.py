@@ -322,7 +322,7 @@ def test_diagram_csv_roundtrip():
     D = reduce(build_rips(SQUARE, r_max=2.0, q_max=2))
     text = D.to_csv()
     assert text.splitlines()[0] == "q,birth,death"
-    back = diagram_from_csv(text, kind="rips", q_max=2, r_max=2.0)
+    back = diagram_from_csv(text, q_max=2, r_max=2.0)
     assert np.array_equal(back.qs, D.qs)
     assert np.array_equal(back.births, D.births)
     assert np.array_equal(back.deaths, D.deaths)

@@ -249,7 +249,7 @@ def _reference_weak(P, Q, r, s, kind, w):
     radii = np.unique(np.concatenate([events, [a_star, w]]))
     z_with, zb_with = G.pair_counts(radii, True, r, P.d)
     z_wo, zb_wo = G.pair_counts(radii, False, r, P.d)
-    trace = StabilizationTrace(z, radii, z_with - z_wo, zb_with - zb_wo)
+    trace = StabilizationTrace(radii, z_with - z_wo, zb_with - zb_wo)
     value = trace.settled_radius()
     margin = 2.0 * mu(kind, s)
     return RadiusEstimate(value, bool(w - value < margin), margin), trace
