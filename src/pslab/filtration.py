@@ -142,8 +142,8 @@ class FilteredComplex:
 
     def __post_init__(self):
         # ascending vertex tuples in the stored order, as `complex_from_text`
-        # gives, become the arrays once; if they are not closed under faces,
-        # `_lookup` cannot find their facets
+        # gives, become the arrays once; a facet that is not among them is
+        # stored as -1, which `persistence._facet_ranks` rejects
         if isinstance(self.verts, Simplices):
             return
         verts = list(self.verts)
@@ -157,7 +157,7 @@ class FilteredComplex:
             positions.append(at[lex])
             n = len(rows[0])
             if k:
-                facets.append(np.column_stack([_lookup(codes, n, np.delete(rows[k], c, axis=1)) for c in range(k + 1)]))
+                facets.append(np.column_stack([_find(codes, n, rows[k - 1], np.delete(rows[k], c, axis=1)) for c in range(k + 1)]))
                 codes.append(facets[k][:, k] * n + rows[k][:, k])
             else:
                 facets.append(np.empty((n, 0), dtype=np.intp))
@@ -225,6 +225,15 @@ def _lookup(codes: list[np.ndarray], n: int, rows: np.ndarray) -> np.ndarray:
     for c in range(1, rows.shape[1]):
         idx = np.searchsorted(codes[c], idx * n + rows[:, c])
     return idx
+
+
+def _find(codes: list[np.ndarray], n: int, rows: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """`_lookup` of the vertex rows `faces` among `rows`, the sorted rows of
+    their dimension, with -1 where a face is not one of them."""
+    if not len(rows):
+        return np.full(len(faces), -1, dtype=np.intp)
+    at = np.minimum(_lookup(codes, n, faces), len(rows) - 1)
+    return np.where((rows[at] == faces).all(axis=1), at, -1)
 
 
 def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:

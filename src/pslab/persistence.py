@@ -4,14 +4,17 @@ Chains are bitmask integers, so all linear algebra is XOR on Python ints.
 `reduce` (persistent cohomology with clearing) and the stabilization radii
 index a chain of k-cells by their ranks within dimension k, and find facets
 through `_facet_ranks`.  `Echelon`, an insert-only pivot table, is the one
-kernel they feed.  `reduce` skips most of the work by emergent pairs (Bauer
-2021, Ripser): a column whose low no pivot holds is already reduced, so it is
-paired at once and kept as a lazy pivot, whose int is built only if a later
-column's reduction lands on its low.
+kernel they feed.  `reduce` forms no column in dimension 0, whose pairs are
+the elder-rule merges along the minimum spanning tree, and above it reads
+apparent pairs (Bauer 2021, Ripser) off the facet arrays: they seed the
+echelon as lazy pivots, whose ints are built only if a later column's
+reduction lands on their lows.
 `persistent_betti_direct` is the independent oracle: it recomputes ranks by
 its own dense elimination over `boundary_masks`, its own facet code, which
 indexes chains by the whole complex (bit i = cell i in the stored order);
 `persistent_betti_direct_all` answers many queries from one set of masks.
+`connected_component_count`, the judge of beta_0, counts by csgraph's own
+traversal.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .filtration import FilteredComplex, _stable_argsort, close_pairs, mu
 from .point_process import DomainError, PointCloud, csv_text
@@ -78,21 +83,14 @@ def diagram_from_csv(text: str, q_max: int = 0, r_max: float = math.inf) -> Pers
 
 class Echelon:
     """Incremental F2 echelon basis: each stored column is keyed by its low,
-    the index of its highest set bit.  A pivot may be held lazily, as ~key for
-    the nonnegative key of a column whose low is known: `insert` builds its int
-    through the `column` callback only when a reduction lands on that low."""
+    the index of its highest set bit.  `pivots` may start with lazy pivots,
+    held as ~key for the nonnegative key of a column whose low is known:
+    `insert` builds its int through the `column` callback only when a
+    reduction lands on that low."""
 
-    def __init__(self, column=None):
-        self.pivots: dict[int, int] = {}
+    def __init__(self, column=None, pivots: dict[int, int] | None = None):
+        self.pivots: dict[int, int] = {} if pivots is None else pivots
         self.column = column
-
-    def claim(self, low: int, key: int) -> bool:
-        """Hold column `key`, whose low is `low`, as a lazy pivot, unless a
-        pivot already holds that low.  Returns whether it was claimed."""
-        if low in self.pivots:
-            return False
-        self.pivots[low] = ~key
-        return True
 
     def insert(self, v: int) -> int:
         """Reduce v against the basis and store what remains.  Returns the low
@@ -124,11 +122,15 @@ class UnionFind:
         return x
 
     def union(self, a: int, b: int) -> tuple[int, int] | None:
-        """Link the root of a's set under the root of b's.  Returns (old root
-        of a, root of b), or None when a and b were already in one set."""
+        """Merge the sets of a and b by the elder rule: the larger root is
+        linked under the smaller, so a root is its set's least element.
+        Returns (younger root, elder root), or None when a and b were
+        already in one set."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return None
+        if ra < rb:
+            ra, rb = rb, ra
         self.parent[ra] = rb
         return ra, rb
 
@@ -137,7 +139,8 @@ def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[n
     """Per dimension k <= top: the stored positions of the k-cells, ascending,
     and (for k >= 1) an m_k x (k + 1) array whose row b holds the ranks among
     the (k-1)-cells of the facets of the k-cell of rank b.  A rank is a
-    position within one dimension, in the complex's stored order."""
+    position within one dimension, in the complex's stored order.  Raises
+    DomainError when a facet is not a cell of the complex."""
     S = C.verts
     cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
     rank = np.empty(C.n_cells, dtype=np.intp)
@@ -145,6 +148,8 @@ def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[n
         rank[cells_k] = np.arange(len(cells_k))
     facets: list = [None]
     for k in range(1, top + 1):
+        if S.facets[k].min(initial=0) < 0:
+            raise DomainError(f"a {k}-cell has a facet that is not a cell: the complex is not closed under faces")
         # the stored facets of the lexicographic rows, taken in rank order
         by_rank = np.empty(len(S.rows[k]), dtype=np.intp)
         by_rank[rank[S.positions[k]]] = np.arange(len(by_rank))
@@ -155,20 +160,28 @@ def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[n
 def reduce(C: FilteredComplex) -> PersistenceDiagram:
     """Persistent cohomology with clearing over F2.
 
-    Dimension by dimension from k = 0, the coboundaries of the k-cells enter
-    one echelon in reverse stored order, with the cofacet of rank b among the
-    m (k+1)-cells as bit m - 1 - b, so a column's low is its earliest cofacet.
-    This reduces the anti-transpose of the boundary matrix, which keeps the
-    rank of every lower-left submatrix and hence gives the pairs of the
-    left-to-right boundary reduction.  A pivot pairs its birth k-cell with the
-    death (k+1)-cell of its low.  A k-cell that was a death in dimension k - 1
-    has a coboundary that can only reduce to zero and is skipped (clearing),
-    and no column of dimension q_max is formed, since its classes are dropped.
-    A column's low is its first CSR cofacet bit.  When no pivot holds it, the
-    column is emergent: it is paired at once and claimed as a lazy pivot,
-    keyed by its cell, and `Echelon.insert` builds its int only when a later
-    reduction lands on that low.  The echelon holds the same pivots as one
-    that inserted every column, so the pairs are the same.
+    A pair joins a birth k-cell to the death (k+1)-cell that kills its class;
+    the pairs are those of the left-to-right reduction of the boundary matrix
+    in the stored order.  No column of dimension q_max is formed, since its
+    classes are dropped.
+
+    Dimension 0 forms no columns: its pairs are the merges of the elder rule
+    along the minimum spanning tree of the edges weighted by rank, whose
+    merging edges are those of a union-find walk over every edge in rank
+    order.  Each merge kills the younger of the two components' least vertices.
+
+    For k >= 1 the coboundaries of the k-cells enter one echelon in reverse
+    stored order, with the cofacet of rank b among the m (k+1)-cells as bit
+    m - 1 - b, so a column's low is its earliest cofacet.  This reduces the
+    anti-transpose of the boundary matrix, which keeps the rank of every
+    lower-left submatrix and hence gives the same pairs.  A k-cell that was a
+    death in dimension k - 1 has a coboundary that can only reduce to zero and
+    is skipped (clearing).  A live k-cell whose earliest cofacet has it as its
+    latest facet is apparent (Bauer 2021, Ripser): no column of a later cell
+    holds that cofacet, so the pair is read off the facet arrays and its low
+    seeds the echelon as a lazy pivot, keyed by its cell, whose int
+    `Echelon.insert` builds only when a reduction lands on that low.  Only the
+    other columns are formed and inserted.
     """
     ends = np.full(C.n_cells, math.inf)  # death time of the class each cell creates
     killed = np.zeros(C.n_cells, dtype=bool)
@@ -176,33 +189,10 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     if top > 0:
         cells, facets = _facet_ranks(C, top)
         for k in range(top):
-            # cofacets of each k-cell as a CSR list, ascending in rank
-            width = len(cells[k + 1])
-            by_facet = facets[k + 1].ravel()
-            cofacet = _stable_argsort(by_facet) // (k + 2)
-            bits = (width - 1 - cofacet).tolist()
-            ptr = np.concatenate([[0], np.cumsum(np.bincount(by_facet, minlength=len(cells[k])))]).tolist()
-
-            def column(a):
-                v = 0
-                for bit in bits[ptr[a]:ptr[a + 1]]:
-                    v |= 1 << bit
-                return v
-
-            echelon = Echelon(column)
-            claim, insert = echelon.claim, echelon.insert
-            births, deaths = [], []
-            for a in np.flatnonzero(~killed[cells[k]])[::-1].tolist():
-                # the low is the first bit; a free low is an emergent pair
-                start = ptr[a]
-                if start < ptr[a + 1] and claim(bits[start], a):
-                    low = bits[start]
-                else:
-                    low = insert(column(a))
-                    if low < 0:
-                        continue
-                births.append(a)
-                deaths.append(width - 1 - low)
+            if k == 0:
+                births, deaths = _elder_pairs(facets[1], len(cells[0]))
+            else:
+                births, deaths = _coboundary_pairs(facets[k + 1], ~killed[cells[k]])
             dead = cells[k + 1][deaths]
             ends[cells[k][births]] = C.times[dead]
             killed[dead] = True
@@ -218,6 +208,59 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
         C.q_max,
         C.r_max,
     )
+
+
+def _elder_pairs(edge_facets: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
+    """Dimension-0 pairs of m vertices and the edges with the given facet
+    ranks, as (vertex ranks, edge ranks): the edges of the minimum spanning
+    tree by rank, walked in rank order, each killing the younger root."""
+    ends_of = edge_facets[:, ::-1]
+    # weight rank + 1, since csgraph reads a zero weight as no edge; the
+    # weights are distinct, so the tree is unique
+    graph = csr_array((np.arange(1.0, len(ends_of) + 1), (ends_of[:, 0], ends_of[:, 1])), shape=(m, m))
+    deaths = (np.sort(minimum_spanning_tree(graph, overwrite=True).data) - 1).astype(np.intp)
+    sets = UnionFind(m)
+    return [sets.union(u, v)[0] for u, v in ends_of[deaths].tolist()], deaths
+
+
+def _coboundary_pairs(F: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of the k-cells flagged `live` (k >= 1) and the (k+1)-cells with
+    facet ranks F, as (k-cell ranks, (k+1)-cell ranks), by the reduction of
+    their coboundaries with apparent pairs seeded (see `reduce`)."""
+    width, k2 = F.shape
+    by_facet = F.ravel()
+    # cofacets of each k-cell as a CSR list, ascending in rank
+    cofacet = _stable_argsort(by_facet) // k2
+    bits = width - 1 - cofacet
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(by_facet, minlength=len(live)))])
+    # each cofacet's latest facet, taken column by column, which is faster
+    # than a row max on narrow rows
+    latest = F[:, 0]
+    for c in range(1, k2):
+        latest = np.maximum(latest, F[:, c])
+    # the columns (live cells with a cofacet), their earliest cofacets, and
+    # which are apparent
+    cols = np.flatnonzero(live & (ptr[1:] > ptr[:-1]))
+    first = cofacet[ptr[cols]]
+    apparent = latest[first] == cols
+    ptr = ptr.tolist()
+
+    def column(a):
+        v = 0
+        for bit in bits[ptr[a]:ptr[a + 1]].tolist():
+            v |= 1 << bit
+        return v
+
+    seeds = dict(zip((width - 1 - first[apparent]).tolist(), (~cols[apparent]).tolist()))
+    insert = Echelon(column, seeds).insert
+    births, lows = [], []
+    for a in cols[~apparent][::-1].tolist():
+        low = insert(column(a))
+        if low >= 0:
+            births.append(a)
+            lows.append(low)
+    births = np.append(cols[apparent], np.array(births, dtype=np.intp))
+    return births, np.append(first[apparent], width - 1 - np.array(lows, dtype=np.intp))
 
 
 def _check_caps(query: RankQuery, q_max: int, r_max: float):
@@ -337,15 +380,13 @@ def persistent_betti_direct_all(C: FilteredComplex, queries) -> list[int]:
 
 
 def connected_component_count(P: PointCloud, threshold: float, kind: str = "rips") -> int:
-    """Components of the geometric graph: edges at distance <= mu(kind, threshold)."""
+    """Components of the geometric graph: edges at distance <= mu(kind, threshold),
+    counted by csgraph's traversal, which shares no code with `reduce`."""
     n = P.n
-    if n == 0:
-        return 0
-    sets = UnionFind(n)
-    count = n
-    if threshold > 0 and n >= 2:
-        pairs, _ = close_pairs(P.points, mu(kind, threshold))
-        for i, j in pairs.tolist():
-            if sets.union(i, j) is not None:
-                count -= 1
-    return count
+    if threshold <= 0 or n < 2:
+        return n
+    pairs, _ = close_pairs(P.points, mu(kind, threshold))
+    # the pairs are in lexicographic order, so they are already a CSR layout;
+    # csgraph needs the column indices contiguous
+    graph = csr_array((np.ones(len(pairs)), pairs[:, 1].copy(), np.searchsorted(pairs[:, 0], np.arange(n + 1))), shape=(n, n))
+    return int(connected_components(graph, directed=False, return_labels=False))

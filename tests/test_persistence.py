@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -89,15 +90,54 @@ def test_cohomology_matches_homology_reduction():
                         assert np.array_equal(got, want)
 
 
+def test_cohomology_matches_homology_reduction_on_clustered_clouds():
+    """200 points in four clusters ten apart, each 50 draws with repeats from
+    35 points of the half-lattice on [0, 3]^2: several components, duplicate
+    points (edges at time 0) and many tied times, in one complex."""
+    rng = np.random.default_rng(43)
+    blocks = []
+    for corner in ((0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)):
+        base = rng.integers(0, 7, (35, 2)) / 2.0 + corner
+        blocks.append(base[rng.integers(0, 35, 50)])
+    P = PointCloud(np.concatenate(blocks), Box((0.0, 0.0), (13.0, 13.0)))
+    for kind, r_max in (("rips", 1.0), ("cech", 0.75)):
+        C = build(P, kind, r_max=r_max, q_max=2)
+        assert np.count_nonzero((C.dims == 1) & (C.times == 0.0)) > 0
+        assert len(np.unique(C.times)) < C.n_cells / 100
+        D = reduce(C)
+        assert np.count_nonzero((D.qs == 0) & np.isinf(D.deaths)) >= 4
+        for got, want in zip((D.qs, D.births, D.deaths), _homology_reduction(C)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_reduce_rejects_a_complex_not_closed_under_faces():
+    """A tuple list missing a facet is accepted as a complex, but `reduce`
+    raises rather than pair its cells against a neighbouring row."""
+    P = sample_poisson_homogeneous(1.0, Box((0.0, 0.0), (12.0, 12.0)), RngSeed(29, 0))
+    C = build_rips(P, r_max=1.5, q_max=2)
+    verts = list(C.verts)
+    assert reduce(dataclasses.replace(C, verts=verts)).to_csv() == reduce(C).to_csv()
+    # the edge (22, 60) is a facet of four triangles
+    keep = np.arange(C.n_cells) != verts.index((22, 60))
+    D = dataclasses.replace(C, verts=[v for v, k in zip(verts, keep) if k], times=C.times[keep], dims=C.dims[keep])
+    assert np.count_nonzero(D.verts.facets[2] < 0) == 4
+    with pytest.raises(DomainError, match="not closed under faces"):
+        reduce(D)
+    # up to dimension 1 every facet is a cell, so a cap there reduces
+    assert reduce(dataclasses.replace(D, q_max=1)).q_max == 1
+
+
 def test_lazy_pivots_match_homology_reduction(monkeypatch):
-    """Clouds large enough that lazy pivots are expanded, several within one
-    reduction: Rips and Cech in d = 2 and 3, uniform or on a half-lattice (tied
+    """Clouds large enough that lazy pivots (the seeded apparent pairs) are
+    expanded in every reduction, and several within one insert for each kind
+    and d: Rips and Cech in d = 2 and 3, uniform or on a half-lattice (tied
     times), with r_max past the percolation radius of unit intensity."""
     expanded, chains = [], []
     init, insert = Echelon.__init__, Echelon.insert
 
-    def spy_init(self, column=None):
-        init(self, column and (lambda key: expanded.append(key) or column(key)))
+    def spy_init(self, column=None, pivots=None):
+        init(self, column and (lambda key: expanded.append(key) or column(key)), pivots)
 
     def spy_insert(self, v):
         before = len(expanded)
@@ -110,29 +150,44 @@ def test_lazy_pivots_match_homology_reduction(monkeypatch):
     rng = np.random.default_rng(41)
     for n, d, kind, r_max in [(120, 2, "rips", 2.0), (100, 2, "cech", 1.0), (80, 3, "rips", 1.2), (80, 3, "cech", 0.6)]:
         side = n ** (1 / d)
+        longest = 0
         for pts in (rng.random((n, d)) * side, rng.integers(0, 2 * int(side) + 1, (n, d)) / 2.0):
             C = build(PointCloud(pts, Box((0.0,) * d, (side,) * d)), kind, r_max=r_max, q_max=d)
             del expanded[:], chains[:]
             D = reduce(C)
             for got, want in zip((D.qs, D.births, D.deaths), _homology_reduction(C)):
                 assert np.array_equal(got, want)
-            assert len(expanded) > 0 and max(chains) >= 2
+            assert len(expanded) > 0
+            longest = max(longest, *chains)
+        assert longest >= 2
 
 
 def test_reduce_never_inserts_a_top_dimension_column(monkeypatch):
     C = build_rips(PointCloud(np.random.default_rng(39).random((12, 2)), unit_box(2)), r_max=1.0, q_max=2)
-    assert np.count_nonzero(C.dims == 2) > 0
-    # a column enters the echelon when it is claimed (emergent) or inserted
-    columns = []
-    claim, insert = Echelon.claim, Echelon.insert
-    monkeypatch.setattr(Echelon, "claim", lambda self, low, key: claim(self, low, key) and not columns.append(key))
+    verts = list(C.verts)
+    triangles = [v for v in verts if len(v) == 3]
+    assert len(triangles) > 0
+    # every edge has a cofacet, so no live edge is skipped for an empty coboundary
+    assert {v for v in verts if len(v) == 2} == {f for t in triangles for f in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))}
+    # a column is formed when it seeds an echelon (apparent) or is inserted
+    echelons, columns = [], []
+    init, insert = Echelon.__init__, Echelon.insert
+
+    def spy_init(self, column=None, pivots=None):
+        echelons.append(self)
+        columns.extend((pivots or {}).values())
+        init(self, column, pivots)
+
+    monkeypatch.setattr(Echelon, "__init__", spy_init)
     monkeypatch.setattr(Echelon, "insert", lambda self, v: columns.append(v) or insert(self, v))
     D = reduce(C)
-    # one coboundary per vertex and per edge, less the edges that were deaths
-    # of vertex classes (clearing); none for a triangle
+    # dimension 0 forms no echelon, and the one for dimension 1 takes one
+    # column per edge, less the edges that were deaths of vertex classes
+    # (clearing); none for a triangle
     cleared = np.count_nonzero((D.qs == 0) & np.isfinite(D.deaths))
     assert cleared > 0
-    assert len(columns) == np.count_nonzero(C.dims < 2) - cleared
+    assert len(echelons) == 1
+    assert len(columns) == np.count_nonzero(C.dims == 1) - cleared
 
 
 def test_boundary_of_boundary_vanishes():
