@@ -27,9 +27,11 @@ from .point_process import (
     sample_binomial,
     sample_poisson_homogeneous,
 )
-from .stabilization import (
+# strong_radius_estimate is unused here; perfbench/tracer.py patches this attribute
+from .stabilization import (  # noqa: F401
     AddOneQuery,
     add_one_cost,
+    cloud_radii,
     strong_radius_estimate,
     weak_radius,
 )
@@ -435,6 +437,8 @@ def radius_tail_experiment(
     percolation; censored replicates count as exceedances (conservative)."""
     if reps < 1:
         raise DomainError("radius tails need at least one replicate")
+    if any(not 0 <= q < d for q in q_list):
+        raise DomainError(f"homology degrees {list(q_list)} must lie in 0..{d - 1}")
     L_grid = sorted(float(L) for L in L_grid)
     max_r = max(float(r) for r in r_grid)
     if window < max(L_grid) + 2.0 * mu(kind, max_r):
@@ -451,17 +455,11 @@ def radius_tail_experiment(
 
             def one(rep: int):
                 P = sample_poisson_homogeneous(float(lam), box, base.derive(rep))
-                est, trace = weak_radius(
-                    P, origin, z, float(r), float(r), kind=kind,
-                    window_radius=window, return_trace=True,
-                )
+                est, trace, strong = cloud_radii(P, origin, z, float(r), float(r), q_list, kind, window)
                 weak_vals = {
                     q: (math.inf if est.censored else trace.settled_radius(q)) for q in q_list
                 }
-                strong_vals = {}
-                for q in q_list:
-                    st = strong_radius_estimate(P, origin, z, float(r), int(q), kind, window_radius=window)
-                    strong_vals[q] = math.inf if st.censored else st.value
+                strong_vals = {q: (math.inf if st.censored else st.value) for q, st in strong.items()}
                 return weak_vals, strong_vals
 
             results = [one(i) for i in range(reps)]

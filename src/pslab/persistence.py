@@ -190,7 +190,7 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
         cells, facets = _facet_ranks(C, top)
         for k in range(top):
             if k == 0:
-                births, deaths = _elder_pairs(facets[1], len(cells[0]))
+                births, deaths = _elder_pairs(C.verts, cells[1], facets[1], len(cells[0]))
             else:
                 births, deaths = _coboundary_pairs(facets[k + 1], ~killed[cells[k]])
             dead = cells[k + 1][deaths]
@@ -210,17 +210,22 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     )
 
 
-def _elder_pairs(edge_facets: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
-    """Dimension-0 pairs of m vertices and the edges with the given facet
-    ranks, as (vertex ranks, edge ranks): the edges of the minimum spanning
-    tree by rank, walked in rank order, each killing the younger root."""
-    ends_of = edge_facets[:, ::-1]
-    # weight rank + 1, since csgraph reads a zero weight as no edge; the
+def _elder_pairs(S, edge_cells: np.ndarray, edge_facets: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
+    """Dimension-0 pairs of the m vertices and the edges, at stored positions
+    edge_cells, with the given facet ranks, as (vertex ranks, edge ranks):
+    the edges of the minimum spanning tree by rank, walked in rank order,
+    each killing the younger root."""
+    # the tree of a graph on the vertices' indices among the lexicographic
+    # vertex rows; the edge rows are lexicographic, so they are already a
+    # CSR layout.  The weight is the stored position + 1, which orders the
+    # edges as their ranks do (csgraph reads a zero weight as no edge); the
     # weights are distinct, so the tree is unique
-    graph = csr_array((np.arange(1.0, len(ends_of) + 1), (ends_of[:, 0], ends_of[:, 1])), shape=(m, m))
-    deaths = (np.sort(minimum_spanning_tree(graph, overwrite=True).data) - 1).astype(np.intp)
+    ends = S.facets[1]
+    graph = csr_array((S.positions[1] + 1.0, ends[:, 0].copy(), np.searchsorted(ends[:, 1], np.arange(m + 1))), shape=(m, m))
+    tree = np.sort(minimum_spanning_tree(graph, overwrite=True).data).astype(np.intp) - 1
+    deaths = np.searchsorted(edge_cells, tree)
     sets = UnionFind(m)
-    return [sets.union(u, v)[0] for u, v in ends_of[deaths].tolist()], deaths
+    return [sets.union(u, v)[0] for u, v in edge_facets[deaths].tolist()], deaths
 
 
 def _coboundary_pairs(F: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,15 +2,20 @@
 
 The weak radius is computed event-by-event: the restricted complexes can only
 change when the ball B(z, a) gains a point, so probing the point distances is
-exact.  The strong radius is bounded from above by a cluster-locality
-horizon: the first probe radius at which every cluster of the mu(r)-graph that
-holds a new simplex lies well inside the probe ball.  It is finite only below
-percolation; the exact stopping-time condition is not computable from a finite
-window.
+exact.  One walk over the cells in ball order reduces each boundary column
+once: the columns without the added points Q form one echelon, and those
+through Q a residue modulo its span, whose size and lows are the rank and
+pivot differences the trace counts (`_Residue`).  The strong radius is bounded
+from above by a cluster-locality horizon: the first probe radius at which
+every cluster of the mu(r)-graph that holds a new simplex lies well inside the
+probe ball.  It is finite only below percolation; the exact stopping-time
+condition is not computable from a finite window.  `cloud_radii` gives both
+radii from one cut and one complex per cloud.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +67,9 @@ class StabilizationTrace:
     def settled_radius(self, q: int | None = None) -> float:
         """The probe radius right after the last one at which D1 or D2 (of
         degree q, or of any degree when q is None) differs from its final
-        value; 0 when neither ever does."""
+        value; 0 when neither ever does.  Rejects a q with no column."""
+        if q is not None and not 0 <= q < self.d1.shape[1]:
+            raise DomainError(f"the trace has no column for degree {q}")
         cols = slice(None) if q is None else [q]
         d1, d2 = self.d1[:, cols], self.d2[:, cols]
         changed = ((d1 != d1[-1]) | (d2 != d2[-1])).any(axis=1)
@@ -122,6 +129,11 @@ def window_radius_around(window, z: np.ndarray) -> float:
     raise DomainError(f"unsupported window type {type(window).__name__}")
 
 
+def _reach(Q: np.ndarray, z: np.ndarray) -> float:
+    """max |Q - z|, 0 for no added point."""
+    return float(np.linalg.norm(Q - z, axis=1).max()) if len(Q) else 0.0
+
+
 def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float | None):
     """P cut by `restrict` to the window ball B(z, w), in its order and with
     that ball as its window; z and the added points Q as float arrays; w (by
@@ -135,11 +147,36 @@ def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float
     Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
     if window_radius is None:
         window_radius = window_radius_around(P.window, z)
-    L = float(np.linalg.norm(Q - z, axis=1).max()) if len(Q) else 0.0
-    a_star = L + mu(kind, t)
+    a_star = _reach(Q, z) + mu(kind, t)
     if window_radius < a_star:
         raise DomainError(f"window radius {window_radius} below a*({t}) = {a_star}")
     return restrict(P, z, window_radius), z, Q, window_radius, a_star
+
+
+class _Residue:
+    """The echelon of span(A u B) for a set A of cells without Q and a set B
+    of cells through Q, as A's own `Echelon` and a residue R: vectors of the
+    span reduced modulo span A, keyed by their lows, which are disjoint from
+    A's.  An echelon's lows are its span's, so the lows of A and R together
+    are those of span(A u B), and |R| = rank(A u B) - rank A.  A cell through
+    Q is reduced against both and stored in R.  A cell without Q enters A
+    alone; when its new low l is R's, the difference A[l] + R[l] leaves l and
+    is reduced again, landing in R at a lower low or vanishing."""
+
+    def __init__(self):
+        self.base = Echelon()
+        self.residue: dict[int, int] = {}
+        self.star = Echelon(pivots=ChainMap(self.residue, self.base.pivots))
+
+    def insert(self, v: int, star: bool, below: int) -> int:
+        """Insert the column v of a cell, through Q when `star`; returns the
+        change in the number of R's lows below `below`."""
+        if star:
+            return 0 <= self.star.insert(v) < below
+        low = self.base.insert(v)
+        if low < 0 or low not in self.residue:
+            return 0
+        return (0 <= self.star.insert(self.base.pivots[low] ^ self.residue.pop(low)) < below) - (low < below)
 
 
 class _GlobalComplex:
@@ -180,11 +217,13 @@ class _GlobalComplex:
         q-cells born after r (every cell of the complex enters by s).  Those
         rows are the ranks from early[q] up, and an echelon's lows are its
         span's, so the difference counts the d_{q+1} pivots with low below
-        early[q].  The column sets only grow with a, so one walk in ball order
-        feeds both sides: a cell through Q enters the echelons with Q only, any
-        other cell enters both, and the side without Q subtracts its steps.  A
-        stable sort keeps the stored order among equal balls, so each side
-        sees the cells in the order of a walk over its own cells alone.
+        early[q].  With Q minus without, the ranks differ by rank(A u B) -
+        rank A, A the columns without Q and B those through Q, which is the
+        size of a `_Residue`, and the pivot lows differ by its lows.  So D1
+        is the q-cells through Q born by r minus the residue of d_q, and D2
+        the residue lows of d_{q+1} below early[q].  The column sets only
+        grow with a, and all of these depend on the sets alone, so one walk
+        in ball order reduces each cell once.
         """
         C, masks = self.C, self.masks
         early = [int((C.times[cells] <= r).sum()) for cells in self.cells]
@@ -192,24 +231,30 @@ class _GlobalComplex:
         stops = np.searchsorted(self.cell_ball[order], radii, side="right").tolist()
         order, dims = order.tolist(), C.dims.tolist()
         born_by_r, uses_q = (C.times <= r).tolist(), self.cell_uses_q.tolist()
-        # (sign, d_q echelons of cells born by r for q >= 1, d_{q+1} echelons)
-        sides = [(sign, [Echelon() for _ in range(d)], [Echelon() for _ in range(d)]) for sign in (1, -1)]
+        # residues of d_q on the cells born by r for q >= 1, and of d_{q+1};
+        # with every cell born by r (r = s), the first is d_q's, whose lows
+        # all lie below early[q - 1], so D1 reads it off D2
+        shared = all(born_by_r)
+        born = None if shared else [_Residue() for _ in range(d)]
+        alive = [_Residue() for _ in range(d)]
+        any_low = C.n_cells
         dz, dzb = [0] * d, [0] * d
         d1 = np.zeros((len(radii), d), dtype=int)
         d2 = np.zeros((len(radii), d), dtype=int)
         start = 0
         for row, stop in enumerate(stops):
             for i in order[start:stop]:
-                q = dims[i]
-                for sign, born, alive in sides[: 1 if uses_q[i] else 2]:
-                    if q < d and born_by_r[i]:
-                        dz[q] += sign
-                        if q:
-                            dz[q] -= sign * (born[q].insert(masks[i]) >= 0)
-                    if 1 <= q <= d:
-                        dzb[q - 1] += sign * (0 <= alive[q - 1].insert(masks[i]) < early[q - 1])
+                q, star = dims[i], uses_q[i]
+                if q < d and born_by_r[i]:
+                    dz[q] += star
+                    if q and born:
+                        dz[q] -= born[q].insert(masks[i], star, any_low)
+                if 1 <= q <= d:
+                    dzb[q - 1] += alive[q - 1].insert(masks[i], star, early[q - 1])
             start = stop
             d1[row], d2[row] = dz, dzb
+        if shared:
+            d1[:, 1:] -= d2[:, :-1]
         return d1, d2
 
 
@@ -222,12 +267,42 @@ def stabilization_trace(
     kind: str = "rips",
     window_radius: float | None = None,
 ) -> StabilizationTrace:
+    return cloud_radii(P, Q, z, r, s, (), kind, window_radius)[1]
+
+
+def cloud_radii(
+    P: PointCloud,
+    Q: np.ndarray,
+    z: np.ndarray,
+    r: float,
+    s: float,
+    q_list,
+    kind: str = "rips",
+    window_radius: float | None = None,
+) -> tuple[RadiusEstimate, StabilizationTrace, dict[int, RadiusEstimate]]:
+    """The weak estimate at (r, s), its trace, and the strong estimate at r
+    for each q in `q_list`, from one cut and one complex on P u Q at (s, d):
+    the strong horizon reads that complex's cells born by r.
+
+    The trace holds D1 and D2 at every point distance, a*(s) and w.  The
+    weak estimate is the smallest of those radii beyond which D1 and D2 are
+    constant for every q, censored when less than a margin of 2 mu(s) of
+    constant trailing radius was observed inside the window.
+    """
     if not 0 <= r <= s:
         raise DomainError("weak radius needs 0 <= r <= s")
+    if any(not 0 <= q < P.d for q in q_list):
+        raise DomainError(f"homology degrees {list(q_list)} must lie in 0..{P.d - 1}")
     P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
     probes = np.unique(np.concatenate([G.point_dist, [a_star, window_radius]]))
-    return StabilizationTrace(probes, *G.differences(probes, r, P.d))
+    trace = StabilizationTrace(probes, *G.differences(probes, r, P.d))
+    margin = 2.0 * mu(kind, s)
+    value = trace.settled_radius()
+    censored = (trace.radii[-1] - value) < margin  # the last probe is the window radius
+    a_star_r = _reach(Q, z) + mu(kind, r)
+    strong = {q: _horizon(G.C, G.point_dist, P.n, r, q, kind, a_star_r, window_radius) for q in q_list}
+    return RadiusEstimate(value, bool(censored), float(margin)), trace, strong
 
 
 def weak_radius(
@@ -240,22 +315,44 @@ def weak_radius(
     window_radius: float | None = None,
     return_trace: bool = False,
 ):
-    """Smallest event radius beyond which D1 and D2 are constant for every q.
-
-    Censored when less than a margin of 2 mu(s) of constant trailing radius
-    was observed inside the window.
-    """
-    margin = 2.0 * mu(kind, s)
-    trace = stabilization_trace(P, Q, z, r, s, kind, window_radius)
-    value = trace.settled_radius()
-    censored = (trace.radii[-1] - value) < margin  # the last probe is the window radius
-    est = RadiusEstimate(value, bool(censored), float(margin))
+    """Smallest event radius beyond which D1 and D2 are constant for every q
+    (see `cloud_radii`)."""
+    est, trace, _ = cloud_radii(P, Q, z, r, s, (), kind, window_radius)
     return (est, trace) if return_trace else est
 
 
 # ---------------------------------------------------------------------------
 # Strong radius: cluster-locality horizon
 # ---------------------------------------------------------------------------
+
+
+def _horizon(C, dist: np.ndarray, n_P: int, r: float, q: int, kind: str, a_star: float, window_radius: float) -> RadiusEstimate:
+    """The cluster-locality horizon of `strong_radius_estimate` at (r, q), on
+    a complex C of P u Q (P's n_P points first) holding every simplex up to
+    dimension q that enters by r, and maybe more: the mu(r)-graph is its
+    edges born by r and the new q-simplices its q-cells through Q born by r.
+    dist holds the points' distances from z.  C is not read at q = 0."""
+    if q == 0:
+        return RadiusEstimate(float(a_star), False, 0.0)
+    S = C.verts
+    rows, edges = S.rows[q], S.rows[1][C.times[S.positions[1]] <= r]
+    # vertex rows are ascending, so a new simplex has its last vertex in Q
+    new = rows[(rows[:, -1] >= n_P) & (C.times[S.positions[q]] <= r)]
+    if not len(new):
+        return RadiusEstimate(float(a_star), False, 0.0)
+    # every simplex through Q at parameter r sits inside B(z, a*(r))
+    assert dist[new].max() <= a_star + 1e-9
+
+    sets = UnionFind(len(dist))
+    for a, b in edges.tolist():
+        sets.union(a, b)
+    roots = {sets.find(v) for v in new[:, 0].tolist()}
+    reach = max(float(dist[p]) for p in range(len(dist)) if sets.find(p) in roots)
+    horizons = np.unique(np.concatenate([dist[dist > a_star], [a_star, window_radius]]))
+    settled = np.flatnonzero(reach <= horizons - 2.0 * mu(kind, r))
+    if len(settled):
+        return RadiusEstimate(float(horizons[settled[0]]), False, 0.0)
+    return RadiusEstimate(float(window_radius), True, 0.0)
 
 
 def strong_radius_estimate(
@@ -278,32 +375,14 @@ def strong_radius_estimate(
     since a cut cluster inside B(z, R - 2 mu(r)) has all its neighbours within
     R - mu(r), so it is the whole cluster.  Past percolation the clusters are
     unbounded and the estimate is censored at w.  At q = 0 every new vertex
-    has zero boundary, so it is positive at once and the estimate is a*(r).
+    has zero boundary, so it is positive at once and the estimate is a*(r),
+    with no complex built.
     """
     P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
-    if q == 0:
-        return RadiusEstimate(float(a_star), False, 0.0)
     pts = np.vstack([P.points, Q]) if P.n else Q
-    C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q)
-    dist = np.linalg.norm(pts - z, axis=1)
-    rows = C.verts.rows
-    # vertex rows are ascending, so a new simplex has its last vertex in Q
-    new = rows[q][rows[q][:, -1] >= P.n]
-    if not len(new):
-        return RadiusEstimate(float(a_star), False, 0.0)
-    # every simplex through Q at parameter r sits inside B(z, a*(r))
-    assert dist[new].max() <= a_star + 1e-9
-
-    sets = UnionFind(len(pts))
-    for a, b in rows[1].tolist():
-        sets.union(a, b)
-    roots = {sets.find(v) for v in new[:, 0].tolist()}
-    reach = max(float(dist[p]) for p in range(len(pts)) if sets.find(p) in roots)
-    horizons = np.unique(np.concatenate([dist[dist > a_star], [a_star, window_radius]]))
-    settled = np.flatnonzero(reach <= horizons - 2.0 * mu(kind, r))
-    if len(settled):
-        return RadiusEstimate(float(horizons[settled[0]]), False, 0.0)
-    return RadiusEstimate(float(window_radius), True, 0.0)
+    # `_horizon` reads no complex at q = 0, so none is built
+    C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q) if q else None
+    return _horizon(C, np.linalg.norm(pts - z, axis=1), P.n, r, q, kind, a_star, window_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,17 @@ def test_tails_zero_replicates_is_config_error(tmp_path):
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_tails_degree_at_d_is_config_error(tmp_path, capsys):
+    cfg = _cfg(
+        tmp_path,
+        "t.json",
+        {"lambda_grid": [1.0], "r_grid": [0.5], "q_list": [0, 2], "L_grid": [0.5, 1.0], "reps": 2, "window": 3.0, "d": 2},
+    )
+    assert main(["tails", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "homology degrees" in err and "Traceback" not in err
+
+
 def test_report_round_trip_byte_identical(tmp_path):
     cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "pairs": [[0.3, 0.4]], "n_grid": [30], "replicates": 50, "r_max": 0.4})
     out = tmp_path / "out"

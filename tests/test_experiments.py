@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from pslab import experiments
 from pslab.experiments import (
     AlphaEstimate,
     CltConfig,
@@ -32,6 +33,7 @@ from pslab.point_process import (
     sample_binomial,
     sample_poisson_homogeneous,
 )
+from pslab.stabilization import strong_radius_estimate, weak_radius
 
 KAPPA = constant_density(2)
 
@@ -256,6 +258,48 @@ def test_tail_table_csv_header():
     lines = table.to_csv().splitlines()
     assert lines[0] == "lambda,r,q,statistic,L,survival,wilson_low,wilson_high"
     assert len(lines) == 1 + len(table.rows)
+
+
+def test_tail_table_is_the_per_cloud_weak_and_strong_radii():
+    """The tails table reads the weak and strong radii off one complex per
+    cloud (`cloud_radii`); its survival must be that of `weak_radius` and
+    `strong_radius_estimate` called on each cloud alone.  lambda = 8 is past
+    percolation at r = 0.5, where the strong estimate is censored."""
+    censored = 0
+    for lambda_grid, r, d, kind, w in (([0.5, 8.0], 0.5, 2, "rips", 2.5), ([2.0], 0.25, 2, "cech", 2.5),
+                                        ([2.0], 0.4, 3, "rips", 2.3)):
+        q_list, L_grid, reps, seed = list(range(d)), [0.5, 1.0, 1.5], 8, RngSeed(9, 4)
+        table = radius_tail_experiment(lambda_grid, [r], q_list, L_grid, reps, w, seed, d=d, kind=kind)
+        rows = iter(table.rows)
+        box, Q, z = Box((-w,) * d, (w,) * d), np.zeros((1, d)), np.zeros(d)
+        for cell, lam in enumerate(lambda_grid):
+            vals = {}
+            for rep in range(reps):
+                P = sample_poisson_homogeneous(lam, box, seed.derive(cell).derive(rep))
+                weak, trace = weak_radius(P, Q, z, r, r, kind, w, return_trace=True)
+                for q in q_list:
+                    strong = strong_radius_estimate(P, Q, z, r, q, kind, w)
+                    censored += strong.censored
+                    vals.setdefault((q, "weak"), []).append(math.inf if weak.censored else trace.settled_radius(q))
+                    vals.setdefault((q, "strong"), []).append(math.inf if strong.censored else strong.value)
+            for q in q_list:
+                for stat in ("weak", "strong"):
+                    for L in L_grid:
+                        row = next(rows)
+                        assert (row["lambda"], row["q"], row["statistic"], row["L"]) == (lam, q, stat, L)
+                        assert row["survival"] == sum(v > L for v in vals[q, stat]) / reps
+        assert next(rows, None) is None
+    assert censored > 0
+
+
+def test_tail_table_rejects_a_degree_outside_0_to_d_minus_1(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    monkeypatch.setattr(experiments, "sample_poisson_homogeneous", no_draw)
+    for q_list, d in (([0, 2], 2), ([-1], 2), ([3], 3)):
+        with pytest.raises(DomainError, match="homology degrees"):
+            radius_tail_experiment([1.0], [0.5], q_list, [0.5], reps=3, window=3.0, seed=RngSeed(9, 5), d=d)
 
 
 def test_wilson_interval():

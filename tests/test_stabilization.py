@@ -255,35 +255,51 @@ def _reference_weak(P, Q, r, s, kind, w):
     return RadiusEstimate(value, bool(w - value < margin), margin), trace
 
 
-def test_radius_layer_matches_whole_complex_masks():
+def test_radius_layer_matches_whole_complex_masks(monkeypatch):
     """Per-dimension ranks relabel the bits of each boundary column
     injectively, the pivot lows of d_{q+1} below the first q-cell born after
     r count the same rank difference as the rows masked to those born after
-    r, and the one ball-order walk feeds each side the cells of its own pass
-    in its own order, so the probes, D1, D2 and the weak estimates must be
+    r, and the residue of the cells through Q counts the rank and the lows
+    that they add, so the probes, D1, D2 and the weak estimates must be
     exactly the two whole-complex-mask passes'.  Rips (0.5, 0.75) puts r at a
-    lattice distance, so cells born exactly at r sit on that boundary."""
+    lattice distance, so cells born exactly at r sit on that boundary, and
+    at r = s every cell is born by r, so D1 is read off D2's residue.  The
+    clouds at density 4 make a cell without Q take a residue low, which is
+    then reduced again; the test requires that it happens."""
+    insert = stabilization._Residue.insert
+    displaced = 0
+
+    def spy(self, v, star, below):
+        nonlocal displaced
+        before = set(self.residue)
+        out = insert(self, v, star, below)
+        displaced += not star and not before <= self.residue.keys()
+        return out
+
+    monkeypatch.setattr(stabilization._Residue, "insert", spy)
     rng = np.random.default_rng(61)
-    for d, w, caps in ((2, 2.5, [("rips", 0.4, 0.6), ("rips", 0.5, 0.75), ("cech", 0.25, 0.4)]),
-                       (3, 1.8, [("rips", 0.5, 0.7), ("rips", 0.5, 0.75), ("cech", 0.3, 0.4)])):
-        box = Box((-w,) * d, (w,) * d)
-        for kind, r, s in caps:
-            for _ in range(3):
-                # half the points on a lattice of spacing 0.25 (ties), a few
-                # of them repeated (duplicate points), and a dozen more lattice
-                # points within 1 of z, where lattice distances meet Q
-                uniform = rng.uniform(-w, w, (rng.poisson((2.0 * w) ** d), d))
-                lattice = rng.integers(-4 * w, 4 * w + 1, (len(uniform), d)) / 4.0
-                patch = rng.integers(-4, 5, (12, d)) / 4.0
-                pts = np.vstack([uniform, lattice, lattice[: len(lattice) // 8], patch])
-                P = PointCloud(pts, box)
-                Q = np.array([[0.0] * d, [0.25] + [0.0] * (d - 1)])
-                new = weak_radius(P, Q, np.zeros(d), r, s, kind=kind, window_radius=w, return_trace=True)
-                old = _reference_weak(P, Q, r, s, kind, w)
-                assert new[0] == old[0]  # value, censoring flag and margin
-                assert np.array_equal(new[1].radii, old[1].radii)
-                assert np.array_equal(new[1].d1, old[1].d1)
-                assert np.array_equal(new[1].d2, old[1].d2)
+    for density in (1.0, 4.0):
+        for d, w, caps in ((2, 2.5, [("rips", 0.4, 0.6), ("rips", 0.5, 0.75), ("cech", 0.25, 0.4), ("rips", 0.5, 0.5)]),
+                           (3, 1.8, [("rips", 0.5, 0.7), ("rips", 0.5, 0.75), ("cech", 0.3, 0.4), ("cech", 0.3, 0.3)])):
+            box = Box((-w,) * d, (w,) * d)
+            for kind, r, s in caps:
+                for _ in range(3):
+                    # half the points on a lattice of spacing 0.25 (ties), a few
+                    # of them repeated (duplicate points), and a dozen more lattice
+                    # points within 1 of z, where lattice distances meet Q
+                    uniform = rng.uniform(-w, w, (rng.poisson(density * (2.0 * w) ** d), d))
+                    lattice = rng.integers(-4 * w, 4 * w + 1, (len(uniform), d)) / 4.0
+                    patch = rng.integers(-4, 5, (12, d)) / 4.0
+                    pts = np.vstack([uniform, lattice, lattice[: len(lattice) // 8], patch])
+                    P = PointCloud(pts, box)
+                    Q = np.array([[0.0] * d, [0.25] + [0.0] * (d - 1)])
+                    new = weak_radius(P, Q, np.zeros(d), r, s, kind=kind, window_radius=w, return_trace=True)
+                    old = _reference_weak(P, Q, r, s, kind, w)
+                    assert new[0] == old[0]  # value, censoring flag and margin
+                    assert np.array_equal(new[1].radii, old[1].radii)
+                    assert np.array_equal(new[1].d1, old[1].d1)
+                    assert np.array_equal(new[1].d2, old[1].d2)
+    assert displaced > 0
 
 
 def _strong_reference(P, Q, z, r, q, kind, w):
@@ -413,6 +429,23 @@ def test_radii_reject_negative_time_and_unknown_kind():
             weak_radius(P, Q, z, r, s, window_radius=3.0)
     with pytest.raises(DomainError, match="unknown filtration kind"):
         weak_radius(P, Q, z, 0.5, 0.7, kind="alpha", window_radius=3.0)
+
+
+def test_cloud_radii_is_the_separate_radii_and_rejects_a_degree_without_a_column():
+    """One complex at (s, d) answers the strong estimate at r < s through its
+    cells born by r, as a complex built at (r, q) does."""
+    Q, z = np.array([[0.0, 0.0], [0.2, 0.1]]), np.zeros(2)
+    for rep, (kind, r, s) in enumerate((("rips", 0.5, 0.5), ("rips", 0.4, 0.7), ("cech", 0.25, 0.35))):
+        P = sample_poisson_homogeneous(3.0, Box((-3.0, -3.0), (3.0, 3.0)), RngSeed(11, rep))
+        est, trace, strong = stabilization.cloud_radii(P, Q, z, r, s, [0, 1], kind, 3.0)
+        assert est == weak_radius(P, Q, z, r, s, kind, 3.0)
+        assert trace.to_csv() == stabilization_trace(P, Q, z, r, s, kind, 3.0).to_csv()
+        assert strong == {q: strong_radius_estimate(P, Q, z, r, q, kind, 3.0) for q in (0, 1)}
+    for q in (-1, 2):
+        with pytest.raises(DomainError, match="no column"):
+            trace.settled_radius(q)
+        with pytest.raises(DomainError, match="homology degrees"):
+            stabilization.cloud_radii(P, Q, z, 0.5, 0.5, [0, q], window_radius=3.0)
 
 
 def test_strong_estimate_at_q0_is_a_star_without_a_build(monkeypatch):
