@@ -14,7 +14,8 @@ its own dense elimination over `boundary_masks`, its own facet code, which
 indexes chains by the whole complex (bit i = cell i in the stored order);
 `persistent_betti_direct_all` answers many queries from one set of masks.
 `connected_component_count`, the judge of beta_0, counts by csgraph's own
-traversal.
+traversal; `connected_component_counts` takes all of a cloud's thresholds
+from one set of close pairs.
 """
 
 from __future__ import annotations
@@ -387,11 +388,36 @@ def persistent_betti_direct_all(C: FilteredComplex, queries) -> list[int]:
 def connected_component_count(P: PointCloud, threshold: float, kind: str = "rips") -> int:
     """Components of the geometric graph: edges at distance <= mu(kind, threshold),
     counted by csgraph's traversal, which shares no code with `reduce`."""
+    return connected_component_counts(P, [threshold], kind)[0]
+
+
+def connected_component_counts(P: PointCloud, thresholds, kind: str = "rips") -> list[int]:
+    """`connected_component_count` at each of the thresholds, in their order,
+    from one `close_pairs` at the largest: csgraph labels the graph of each
+    threshold's edges, in increasing order of threshold, until it is
+    connected. Adding edges cannot split a component, so every larger
+    threshold then reads 1."""
+    thresholds = [float(t) for t in thresholds]
+    if min(thresholds, default=0.0) < 0:
+        raise DomainError("component count needs thresholds >= 0")
     n = P.n
-    if threshold <= 0 or n < 2:
-        return n
-    pairs, _ = close_pairs(P.points, mu(kind, threshold))
-    # the pairs are in lexicographic order, so they are already a CSR layout;
-    # csgraph needs the column indices contiguous
-    graph = csr_array((np.ones(len(pairs)), pairs[:, 1].copy(), np.searchsorted(pairs[:, 0], np.arange(n + 1))), shape=(n, n))
-    return int(connected_components(graph, directed=False, return_labels=False))
+    counts = [n] * len(thresholds)
+    if n < 2 or not thresholds:
+        return counts
+    pairs, lengths = close_pairs(P.points, mu(kind, max(thresholds)))
+    # each edge in both directions, grouped by tail: the strong components of
+    # this digraph are the graph's components, and csgraph finds them without
+    # the transpose that its undirected mode builds on every call
+    arcs = np.vstack([pairs, pairs[:, ::-1]])
+    order = np.argsort(arcs[:, 0])
+    arcs, lengths = arcs[order], np.tile(lengths, 2)[order]
+    count = n
+    for k in sorted(range(len(thresholds)), key=thresholds.__getitem__):
+        if count > 1:
+            kept = arcs[lengths <= mu(kind, thresholds[k])]
+            starts = np.searchsorted(kept[:, 0], np.arange(n + 1))
+            # csgraph needs the column indices contiguous
+            graph = csr_array((np.ones(len(kept)), kept[:, 1].copy(), starts), shape=(n, n))
+            count = int(connected_components(graph, directed=True, connection="strong", return_labels=False))
+        counts[k] = count
+    return counts

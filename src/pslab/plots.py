@@ -10,7 +10,7 @@ import csv
 import math
 import os
 
-from scipy import stats as sps
+from scipy.special import ndtri
 
 WIDTH, HEIGHT = 480, 360
 MARGIN = 48
@@ -87,7 +87,7 @@ def qq_plot(samples, title: str) -> str:
     var = sum((v - mean) ** 2 for v in xs) / max(n - 1, 1)
     sd = math.sqrt(var) if var > 0 else 1.0
     zs = [(v - mean) / sd for v in xs]
-    qs = [float(sps.norm.ppf((i - 0.5) / n)) for i in range(1, n + 1)]
+    qs = [float(ndtri((i - 0.5) / n)) for i in range(1, n + 1)]
     lo = min(qs[0], zs[0], -3.0)
     hi = max(qs[-1], zs[-1], 3.0)
     sc = Scale(lo, hi, lo, hi)

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pslab
 from pslab.cli import main
 from pslab.filtration import build
 from pslab.persistence import RankQuery, diagram_from_csv, reduce
@@ -280,6 +283,26 @@ def test_report_round_trip_byte_identical(tmp_path):
         assert (out / name).read_bytes() == blob
     report = json.loads((out / "report.json").read_text())
     assert any(name.startswith("qq_") for name in report["plots"])
+
+
+def test_clt_and_report_never_import_scipy_stats(tmp_path):
+    # scipy.stats costs about half of the CLI's start-up time and 30 MB; the
+    # scores and Q-Q quantiles come from scipy.special. A fresh interpreter
+    # runs clt and report and then looks at what was imported.
+    cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "pairs": [[0.3, 0.4]], "n_grid": [30], "replicates": 50, "r_max": 0.4})
+    out = str(tmp_path / "out")
+    script = "\n".join([
+        "import sys",
+        "from pslab.cli import main",
+        f"assert main(['clt', '--config', {cfg!r}, '--out', {out!r}]) == 0",
+        f"assert main(['report', '--out', {out!r}]) == 0",
+        "assert 'scipy.stats' not in sys.modules",
+    ])
+    src = os.path.dirname(os.path.dirname(pslab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert any(name.startswith("qq_") for name in os.listdir(out))
 
 
 # -- plot examples --------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtri
 
 from pslab import experiments
 from pslab.experiments import (
@@ -56,6 +57,48 @@ def test_normality_score_matches_oracle():
     sc = normality_score(x)
     assert sc.ad == pytest.approx(_ad_oracle(x), abs=1e-9)
     assert sc.ks == pytest.approx(sps.kstest((x - x.mean()) / x.std(ddof=1), "norm").statistic)
+
+
+def _scipy_stats_score(x):
+    """normality_score's four fields as scipy.stats computes them: the
+    reference that the closed forms in scipy.special and numpy must equal."""
+    n = len(x)
+    z = np.sort((x - x.mean()) / x.std(ddof=1))
+    i = np.arange(1, n + 1)
+    a2 = -n - np.mean((2 * i - 1) * (sps.norm.logcdf(z) + sps.norm.logsf(z[::-1])))
+    ks = sps.kstest(z, "norm").statistic
+    return (float(a2 * (1.0 + 0.75 / n + 2.25 / n**2)), float(ks), float(sps.skew(z)), float(sps.kurtosis(z)))
+
+
+def _score_samples():
+    """Seeded samples of 20 to 400 values: Gaussian, Poisson counts, counts
+    with a continuity correction, and a large offset with a skewed spread."""
+    rng = np.random.default_rng(41)
+    for k in range(240):
+        n = int(rng.integers(20, 401))
+        kind = k % 4
+        if kind == 0:
+            yield rng.normal(size=n)
+        elif kind == 1:
+            yield rng.poisson(float(rng.uniform(0.5, 30.0)), size=n).astype(float)
+        elif kind == 2:
+            yield rng.poisson(float(rng.uniform(0.5, 30.0)), size=n) + rng.uniform(-0.5, 0.5, size=n)
+        else:
+            yield 5e5 + rng.exponential(size=n) * 1e3
+
+
+def test_normality_score_equals_scipy_stats_bitwise():
+    checked = 0
+    for x in _score_samples():
+        if x.std(ddof=1) == 0.0:
+            continue
+        assert tuple(normality_score(x)) == _scipy_stats_score(x), len(x)
+        checked += 1
+    assert checked >= 200
+    # the Q-Q plot's normal quantiles
+    for n in (1, 2, 20, 57, 400):
+        p = (np.arange(1, n + 1) - 0.5) / n
+        assert np.array_equal(ndtri(p), sps.norm.ppf(p))
 
 
 def test_normality_score_symmetric_sample_has_zero_skew():

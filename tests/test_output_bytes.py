@@ -2,10 +2,12 @@
 small fixed configs must keep the sha256 recorded here.
 
 A change that moves any of these hashes must say why in CHANGES.md and
-update GOLDEN in the same commit.  Outputs that go through `scipy.stats`
-(`scores.csv` and the report's QQ plots) are left out, so that a scipy
-upgrade alone cannot move a hash; `manifest.json` is left out because it
-holds wall-clock timestamps.
+update GOLDEN in the same commit.  Outputs that go through the normal
+distribution's special functions in `scipy.special` (`scores.csv`, from
+`ndtr` and `log_ndtr`, and the report's QQ plots, from `ndtri`) are left
+out: their last bits belong to scipy's implementation, so a scipy upgrade
+alone could move such a hash.  `manifest.json` is left out because it holds
+wall-clock timestamps.
 """
 
 import hashlib

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from pslab.filtration import build, build_cech, build_rips, count_new_simplices
+from pslab.filtration import build, build_cech, build_rips, close_pairs, count_new_simplices, mu
 from pslab.persistence import (
     CapError,
     Echelon,
     RankQuery,
     boundary_masks,
     connected_component_count,
+    connected_component_counts,
     diagram_from_csv,
     persistent_betti_direct,
     reduce,
@@ -337,12 +338,34 @@ def test_connected_components():
     assert connected_component_count(P, 0.9) == 1
     empty = PointCloud(np.empty((0, 2)), unit_box(2))
     assert connected_component_count(empty, 1.0) == 0
+    # coincident points are joined at threshold 0, as in the filtration
+    twins = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), unit_box(2))
+    assert connected_component_count(twins, 0.0) == 2 == reduce(build_rips(twins, r_max=2.0, q_max=1)).persistent_betti(RankQuery(0, 0.0, 0.0))
     rng = np.random.default_rng(35)
     for _ in range(10):
         Q = PointCloud(rng.random((15, 2)), unit_box(2))
         D = reduce(build_rips(Q, r_max=1.5, q_max=1))
         for t in (0.1, 0.25, 0.4):
             assert connected_component_count(Q, t) == D.persistent_betti(RankQuery(0, t, t))
+
+
+def test_component_counts_are_the_single_counts():
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        m = int(rng.integers(0, 25))
+        P = PointCloud(rng.random((m, 2)) * 2.0, Box((0.0, 0.0), (2.0, 2.0)))
+        if m > 3 and trial % 3 == 0:
+            P = PointCloud(np.vstack([P.points, P.points[:2]]), P.window)  # coincident points
+        kind = ("rips", "cech")[trial % 2]
+        # unsorted, with repeats, zero, and thresholds whose edge cutoff
+        # mu(kind, t) is exactly an edge's length
+        lengths = close_pairs(P.points, 3.0)[1][:5].tolist()
+        ts = rng.uniform(0.0, 1.2, 12).tolist() + [0.0, 0.3, 0.3] + [x / mu(kind, 1.0) for x in lengths]
+        rng.shuffle(ts)
+        assert connected_component_counts(P, ts, kind) == [connected_component_count(P, t, kind) for t in ts]
+    assert connected_component_counts(P, [], "rips") == []
+    with pytest.raises(DomainError):
+        connected_component_counts(P, [0.5, -0.1])
 
 
 def test_geometric_bound_on_rank_difference():
