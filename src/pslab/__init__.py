@@ -3,7 +3,7 @@ geometric filtrations, with Monte Carlo experiments for their limit theory."""
 
 __version__ = "0.1.0"
 
-from .filtration import FilteredComplex, build, build_cech, build_rips, mu
+from .filtration import FilteredComplex, build, mu
 from .persistence import (
     PersistenceDiagram,
     RankQuery,
@@ -51,8 +51,6 @@ __all__ = [
     "StabilizationTrace",
     "add_one_cost",
     "build",
-    "build_cech",
-    "build_rips",
     "connected_component_count",
     "constant_density",
     "mu",

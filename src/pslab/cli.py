@@ -163,8 +163,8 @@ def _cmd_clt(cfg: dict, seed: RngSeed, out: str):
         density=density_from_json(cfg["density"]),
         kind=cfg.get("kind", "rips"),
         q=int(cfg["q"]),
-        pairs=tuple((float(r), float(s)) for r, s in cfg["pairs"]),
-        n_grid=tuple(int(n) for n in cfg["n_grid"]),
+        pairs=cfg["pairs"],
+        n_grid=cfg["n_grid"],
         replicates=int(cfg["replicates"]),
         seed=seed,
         r_max=float(cfg["r_max"]),

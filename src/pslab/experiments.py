@@ -123,10 +123,18 @@ def sample_scaled_process(process: str, density: Density, n: int, seed: RngSeed)
     return unit.scale(n ** (1.0 / d)) if n > 0 else unit
 
 
-def _betti_vector(P: PointCloud, q: int, pairs, kind: str, r_max: float) -> np.ndarray:
-    C = build(P, kind, r_max=r_max, q_max=q + 1)
-    D = reduce(C)
-    return np.array([D.persistent_betti(RankQuery(q, r, s)) for r, s in pairs], dtype=float)
+def _replicate_betas(
+    process: str, density: Density, kind: str, q: int, pairs, n: int, reps: int, base: RngSeed, r_max: float
+) -> np.ndarray:
+    """beta_q^{r,s} of n^{1/d} S_n for each pair (columns) and replicate i, drawn
+    from base.derive(i) (rows), each row from one complex built at (r_max, q + 1)."""
+    queries = [RankQuery(q, r, s) for r, s in pairs]
+    rows = []
+    for rep in range(reps):
+        P = sample_scaled_process(process, density, n, base.derive(rep))
+        D = reduce(build(P, kind, r_max=r_max, q_max=q + 1))
+        rows.append([D.persistent_betti(query) for query in queries])
+    return np.array(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +251,10 @@ def run_clt(config: CltConfig) -> CltResult:
     l = len(config.pairs)
     per_n: dict[int, CltPerN] = {}
     for n_idx, n in enumerate(config.n_grid):
-        base = config.seed.derive(n_idx)
-
-        def one(rep: int):
-            P = sample_scaled_process(config.process, config.density, n, base.derive(rep))
-            return _betti_vector(P, config.q, config.pairs, config.kind, config.r_max)
-
-        betas = np.vstack([one(i) for i in range(config.replicates)])
+        betas = _replicate_betas(
+            config.process, config.density, config.kind, config.q, config.pairs, n, config.replicates,
+            config.seed.derive(n_idx), config.r_max,
+        )
         std = (betas - betas.mean(axis=0)) / math.sqrt(n)
         cov = (std.T @ std) / (config.replicates - 1)
         cov = (cov + cov.T) / 2.0
@@ -340,23 +345,10 @@ def expectation_convergence(
     """Per-n estimates of n^{-1} E[beta], with successive differences."""
     if reps < 2:
         raise DomainError("expectation convergence needs at least two replicates")
-    r, s = pair
     rows = []
     for n_idx, n in enumerate(sorted(n_grid)):
-        base = seed.derive(n_idx)
-
-        def one(rep: int):
-            P = sample_scaled_process(process, density, n, base.derive(rep))
-            return _betti_vector(P, q, [(r, s)], kind, s)[0] / n
-
-        vals = np.array([one(i) for i in range(reps)])
-        rows.append(
-            {
-                "n": n,
-                "mean": float(vals.mean()),
-                "se": float(vals.std(ddof=1) / math.sqrt(reps)),
-            }
-        )
+        vals = _replicate_betas(process, density, kind, q, [pair], n, reps, seed.derive(n_idx), pair[1])[:, 0] / n
+        rows.append({"n": n, "mean": float(vals.mean()), "se": float(vals.std(ddof=1) / math.sqrt(reps))})
     for i, row in enumerate(rows):
         row["delta"] = math.nan if i == 0 else row["mean"] - rows[i - 1]["mean"]
     return rows

@@ -142,26 +142,25 @@ class FilteredComplex:
 
     def __post_init__(self):
         # ascending vertex tuples in the stored order, as `complex_from_text`
-        # gives, become the arrays once; a facet that is not among them is
-        # stored as -1, which `persistence._facet_ranks` rejects
+        # gives, become the arrays once; a facet is looked up by its tuple one
+        # dimension down, and stored as -1 if it is not a cell there, which
+        # `persistence._facet_ranks` rejects
         if isinstance(self.verts, Simplices):
             return
         verts = list(self.verts)
         sizes = np.array([len(v) for v in verts], dtype=np.intp)
-        rows, facets, positions, codes = [], [], [], []
+        rows, facets, positions, index = [], [], [], {}
         for k in range(max(self.q_max, int(sizes.max(initial=1)) - 1) + 1):
             at = np.flatnonzero(sizes == k + 1)
             block = np.array([verts[i] for i in at.tolist()], dtype=np.intp).reshape(-1, k + 1)
             lex = np.lexsort(block.T[::-1])
             rows.append(block[lex])
             positions.append(at[lex])
-            n = len(rows[0])
-            if k:
-                facets.append(np.column_stack([_find(codes, n, rows[k - 1], np.delete(rows[k], c, axis=1)) for c in range(k + 1)]))
-                codes.append(facets[k][:, k] * n + rows[k][:, k])
-            else:
-                facets.append(np.empty((n, 0), dtype=np.intp))
-                codes.append(rows[0][:, 0])
+            tuples = [tuple(v) for v in rows[k].tolist()]
+            width = k + 1 if k else 0
+            found = [[index.get(v[:c] + v[c + 1:], -1) for c in range(width)] for v in tuples]
+            facets.append(np.array(found, dtype=np.intp).reshape(len(tuples), width))
+            index = {v: i for i, v in enumerate(tuples)}
         self.verts = Simplices(rows, facets, positions)
 
     @property
@@ -217,30 +216,12 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return np.sort(keys * m + np.arange(m)) % m
 
 
-def _lookup(codes: list[np.ndarray], n: int, rows: np.ndarray) -> np.ndarray:
-    """Positions of sorted vertex rows among the simplices of their dimension:
-    codes[k] keys each k-simplex as (position of its prefix face) * n + last
-    vertex, ascending in the lexicographic order of the k-simplices."""
-    idx = rows[:, 0]
-    for c in range(1, rows.shape[1]):
-        idx = np.searchsorted(codes[c], idx * n + rows[:, c])
-    return idx
-
-
-def _find(codes: list[np.ndarray], n: int, rows: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """`_lookup` of the vertex rows `faces` among `rows`, the sorted rows of
-    their dimension, with -1 where a face is not one of them."""
-    if not len(rows):
-        return np.full(len(faces), -1, dtype=np.intp)
-    at = np.minimum(_lookup(codes, n, faces), len(rows) - 1)
-    return np.where((rows[at] == faces).all(axis=1), at, -1)
-
-
 def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
-    """Generic builder; unlike the named wrappers it accepts r_max = 0 (a
-    vertices-only complex), which internal callers use for time-zero queries."""
+    """The filtered complex of `kind` ("rips" or "cech") on P: every simplex
+    of dimension <= q_max that enters by r_max.  At r_max = 0 it holds the
+    vertices alone, which time-zero queries use."""
     cutoff = mu(kind, r_max)  # rejects an unknown kind
-    if r_max < 0:
+    if not r_max >= 0:
         raise DomainError("r_max must be nonnegative")
     if q_max < 0:
         raise DomainError("q_max must be nonnegative")
@@ -318,18 +299,6 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     position[order] = np.arange(len(order))
     positions = np.split(position, np.cumsum(sizes)[:-1])
     return FilteredComplex(q_max, r_max, Simplices(simplices, facets, positions), times_arr[order], dims_arr[order])
-
-
-def build_rips(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
-    if r_max <= 0:
-        raise DomainError("r_max must be positive")
-    return build(P, "rips", r_max, q_max)
-
-
-def build_cech(P: PointCloud, r_max: float, q_max: int) -> FilteredComplex:
-    if r_max <= 0:
-        raise DomainError("r_max must be positive")
-    return build(P, "cech", r_max, q_max)
 
 
 def restrict(P: PointCloud, center, a: float) -> PointCloud:

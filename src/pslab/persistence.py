@@ -50,9 +50,12 @@ class RankQuery:
     s: float
 
     def __post_init__(self):
-        if self.r > self.s:
+        if self.q < 0:
+            raise DomainError("rank query needs q >= 0")
+        # written as negations so that a NaN radius fails them
+        if not self.r <= self.s:
             raise DomainError("rank query needs r <= s")
-        if self.r < 0:
+        if not self.r >= 0:
             raise DomainError("rank query needs r >= 0")
 
 

@@ -258,18 +258,6 @@ class _GlobalComplex:
         return d1, d2
 
 
-def stabilization_trace(
-    P: PointCloud,
-    Q: np.ndarray,
-    z: np.ndarray,
-    r: float,
-    s: float,
-    kind: str = "rips",
-    window_radius: float | None = None,
-) -> StabilizationTrace:
-    return cloud_radii(P, Q, z, r, s, (), kind, window_radius)[1]
-
-
 def cloud_radii(
     P: PointCloud,
     Q: np.ndarray,

@@ -21,7 +21,7 @@ from pslab.experiments import (
     sample_scaled_process,
     variance_relation_check,
 )
-from pslab.filtration import build, build_rips, count_new_simplices
+from pslab.filtration import build, count_new_simplices
 from pslab.persistence import (
     RankQuery,
     connected_component_counts,
@@ -75,7 +75,7 @@ def test_criterion_2_union_find_closure():
     for _ in range(500):
         m = int(rng.integers(2, 31))
         P = PointCloud(rng.random((m, 2)) * 3.0, box)
-        C = build_rips(P, r_max=5.0, q_max=1)
+        C = build(P, "rips", r_max=5.0, q_max=1)
         D = reduce(C)
         times = np.unique(C.times).tolist()
         for t, components in zip(times, connected_component_counts(P, times)):
@@ -95,8 +95,8 @@ def test_criterion_3_geometric_bound():
         Y = PointCloud(pts, unit_box(2))
         r, s = sorted(rng.uniform(0.1, 0.8, 2))
         q = int(rng.integers(0, 2))
-        bx = reduce(build_rips(X, r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
-        by = reduce(build_rips(Y, r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
+        bx = reduce(build(X, "rips", r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
+        by = reduce(build(Y, "rips", r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
         bound = count_new_simplices(X, Y, s, q, "rips") + count_new_simplices(X, Y, s, q + 1, "rips")
         if abs(by - bx) > bound:
             violations += 1

@@ -109,6 +109,15 @@ def test_persist_q0_query_at_q_max_0_is_config_error(tmp_path):
     assert main(["persist", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_negative_degree_and_nan_radii_are_config_errors(tmp_path):
+    # the configs are written with json's NaN, which json.load reads back
+    for i, query in enumerate(([-1, 1.0, 1.2], [1, math.nan, 1.2])):
+        cfg = _square_persist_cfg(tmp_path, queries=[query])
+        assert main(["persist", "--config", cfg, "--out", str(tmp_path / f"persist_{i}")]) == 2
+    cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "n_grid": [30], "replicates": 50, "r_max": math.nan})
+    assert main(["clt", "--config", cfg, "--out", str(tmp_path / "clt")]) == 2
+
+
 def test_manifest_inventory_hashes(tmp_path):
     cfg = _square_persist_cfg(tmp_path)
     out = tmp_path / "out"

@@ -15,8 +15,6 @@ from pslab.filtration import (
     _norms,
     _stable_argsort,
     build,
-    build_cech,
-    build_rips,
     close_pairs,
     complex_from_text,
     count_new_simplices,
@@ -43,20 +41,20 @@ def _cells_by_dim(C, q):
 
 def test_rips_single_point():
     P = PointCloud(np.array([[0.3, 0.4]]), unit_box(2))
-    C = build_rips(P, r_max=1.0, q_max=1)
+    C = build(P, "rips", r_max=1.0, q_max=1)
     assert C.n_cells == 1 and C.times[0] == 0.0
 
 
 def test_rips_edge_time_is_distance():
     P = PointCloud(np.array([[0.0, 0.0], [2.0, 0.0]]), Box((0.0, 0.0), (3.0, 3.0)))
-    C = build_rips(P, r_max=3.0, q_max=1)
+    C = build(P, "rips", r_max=3.0, q_max=1)
     edges = _cells_by_dim(C, 1)
     assert len(edges) == 1 and edges[0][1] == 2.0
     assert all(t == 0.0 for _, t in _cells_by_dim(C, 0))
 
 
 def test_rips_square_census():
-    C = build_rips(SQUARE, r_max=2.0, q_max=3)
+    C = build(SQUARE, "rips", r_max=2.0, q_max=3)
     rt2 = math.sqrt(2.0)
     edges = _cells_by_dim(C, 1)
     assert sorted(t for _, t in edges) == pytest.approx([1.0] * 4 + [rt2] * 2)
@@ -68,7 +66,7 @@ def test_rips_square_census():
 
 def test_rips_square_matches_brute_force():
     # every vertex subset of size <= q_max+1 with diameter <= r_max, exactly once
-    C = build_rips(SQUARE, r_max=2.0, q_max=3)
+    C = build(SQUARE, "rips", r_max=2.0, q_max=3)
     got = {C.verts[i]: C.times[i] for i in range(C.n_cells)}
     expected = {}
     pts = SQUARE.points
@@ -87,7 +85,7 @@ def test_rips_square_matches_brute_force():
 
 def test_cech_equilateral_triangle():
     P = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]), Box((-1.0, -1.0), (2.0, 2.0)))
-    C = build_cech(P, r_max=1.0, q_max=2)
+    C = build(P, "cech", r_max=1.0, q_max=2)
     tri = _cells_by_dim(C, 2)
     assert len(tri) == 1
     assert abs(tri[0][1] - 1.0 / math.sqrt(3.0)) <= 1e-9
@@ -95,14 +93,14 @@ def test_cech_equilateral_triangle():
 
 def test_cech_obtuse_triangle():
     P = PointCloud(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.1]]), Box((-1.0, -1.0), (3.0, 3.0)))
-    C = build_cech(P, r_max=1.5, q_max=2)
+    C = build(P, "cech", r_max=1.5, q_max=2)
     tri = _cells_by_dim(C, 2)
     assert len(tri) == 1
     assert abs(tri[0][1] - 1.0) <= 1e-9
 
 
 def test_cech_square_times():
-    C = build_cech(SQUARE, r_max=1.0, q_max=2)
+    C = build(SQUARE, "cech", r_max=1.0, q_max=2)
     half_diag = math.sqrt(2.0) / 2.0
     edge_times = sorted(t for _, t in _cells_by_dim(C, 1))
     assert edge_times == pytest.approx([0.5] * 4 + [half_diag] * 2)
@@ -110,10 +108,13 @@ def test_cech_square_times():
 
 
 def test_build_rejects_bad_r_max():
-    with pytest.raises(DomainError):
-        build_rips(SQUARE, r_max=0.0, q_max=1)
-    with pytest.raises(DomainError):
-        build_cech(SQUARE, r_max=-1.0, q_max=1)
+    # a NaN cap fails `r_max >= 0` as a negative one does
+    for kind in ("rips", "cech"):
+        for r_max in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="r_max must be nonnegative"):
+                build(SQUARE, kind, r_max=r_max, q_max=1)
+        # r_max = 0 is allowed: the vertices alone
+        assert build(SQUARE, kind, r_max=0.0, q_max=1).dims.tolist() == [0, 0, 0, 0]
 
 
 def _cech_radius(pts):
@@ -413,7 +414,7 @@ def test_mu():
 
 
 def test_complex_text_roundtrip():
-    C = build_rips(SQUARE, r_max=2.0, q_max=2)
+    C = build(SQUARE, "rips", r_max=2.0, q_max=2)
     text = C.to_text()
     D = complex_from_text(text, q_max=2, r_max=2.0)
     assert list(D.verts) == list(C.verts)
@@ -457,5 +458,5 @@ def test_verts_reads_and_takes_vertex_tuples_in_the_stored_order():
 
 
 def test_q_max_zero_has_no_edges():
-    C = build_rips(SQUARE, r_max=2.0, q_max=0)
+    C = build(SQUARE, "rips", r_max=2.0, q_max=0)
     assert C.n_cells == 4 and int(C.dims.max()) == 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pslab.filtration import build, build_cech, build_rips, close_pairs, count_new_simplices, mu
+from pslab.filtration import build, close_pairs, count_new_simplices, mu
 from pslab.persistence import (
     CapError,
     Echelon,
@@ -30,12 +30,12 @@ def _pairs(D, q):
 
 def test_single_vertex_diagram():
     P = PointCloud(np.array([[0.0, 0.0]]), unit_box(2))
-    D = reduce(build_rips(P, r_max=1.0, q_max=1))
+    D = reduce(build(P, "rips", r_max=1.0, q_max=1))
     assert _pairs(D, 0) == [(0.0, math.inf)]
 
 
 def test_square_rips_diagram():
-    D = reduce(build_rips(SQUARE, r_max=2.0, q_max=2))
+    D = reduce(build(SQUARE, "rips", r_max=2.0, q_max=2))
     h0 = _pairs(D, 0)
     assert h0 == pytest.approx([(0.0, 1.0)] * 3 + [(0.0, math.inf)])
     h1 = [(b, d) for b, d in _pairs(D, 1) if d > b]
@@ -43,7 +43,7 @@ def test_square_rips_diagram():
 
 
 def test_square_cech_diagram():
-    D = reduce(build_cech(SQUARE, r_max=1.0, q_max=2))
+    D = reduce(build(SQUARE, "cech", r_max=1.0, q_max=2))
     h1 = [(b, d) for b, d in _pairs(D, 1) if d > b]
     assert h1 == pytest.approx([(0.5, RT2 / 2.0)])
 
@@ -116,7 +116,7 @@ def test_reduce_rejects_a_complex_not_closed_under_faces():
     """A tuple list missing a facet is accepted as a complex, but `reduce`
     raises rather than pair its cells against a neighbouring row."""
     P = sample_poisson_homogeneous(1.0, Box((0.0, 0.0), (12.0, 12.0)), RngSeed(29, 0))
-    C = build_rips(P, r_max=1.5, q_max=2)
+    C = build(P, "rips", r_max=1.5, q_max=2)
     verts = list(C.verts)
     assert reduce(dataclasses.replace(C, verts=verts)).to_csv() == reduce(C).to_csv()
     # the edge (22, 60) is a facet of four triangles
@@ -127,6 +127,19 @@ def test_reduce_rejects_a_complex_not_closed_under_faces():
         reduce(D)
     # up to dimension 1 every facet is a cell, so a cap there reduces
     assert reduce(dataclasses.replace(D, q_max=1)).q_max == 1
+
+
+def test_reduce_takes_a_tuple_complex_whose_vertex_ids_have_a_gap():
+    """Dropping a vertex and every cell through it leaves a complex closed
+    under faces on the vertex ids left, gap included; it reduces to the
+    diagram of the cloud without that point."""
+    P = sample_poisson_homogeneous(1.0, Box((0.0, 0.0), (6.0, 6.0)), RngSeed(29, 1))
+    C = build(P, "rips", r_max=1.5, q_max=2)
+    keep = np.array([3 not in v for v in C.verts])
+    D = dataclasses.replace(C, verts=[v for v, k in zip(C.verts, keep) if k], times=C.times[keep], dims=C.dims[keep])
+    assert all(f.min(initial=0) >= 0 for f in D.verts.facets)
+    rest = PointCloud(np.delete(P.points, 3, axis=0), P.window)
+    assert reduce(D).to_csv() == reduce(build(rest, "rips", r_max=1.5, q_max=2)).to_csv()
 
 
 def test_lazy_pivots_match_homology_reduction(monkeypatch):
@@ -164,7 +177,7 @@ def test_lazy_pivots_match_homology_reduction(monkeypatch):
 
 
 def test_reduce_never_inserts_a_top_dimension_column(monkeypatch):
-    C = build_rips(PointCloud(np.random.default_rng(39).random((12, 2)), unit_box(2)), r_max=1.0, q_max=2)
+    C = build(PointCloud(np.random.default_rng(39).random((12, 2)), unit_box(2)), "rips", r_max=1.0, q_max=2)
     verts = list(C.verts)
     triangles = [v for v in verts if len(v) == 3]
     assert len(triangles) > 0
@@ -192,7 +205,7 @@ def test_reduce_never_inserts_a_top_dimension_column(monkeypatch):
 
 
 def test_boundary_of_boundary_vanishes():
-    C = build_rips(SQUARE, r_max=2.0, q_max=3)
+    C = build(SQUARE, "rips", r_max=2.0, q_max=3)
     masks = boundary_masks(C)
     for j in range(C.n_cells):
         acc = 0
@@ -205,7 +218,7 @@ def test_boundary_of_boundary_vanishes():
 
 
 def test_rectangle_rule_examples():
-    D = reduce(build_rips(SQUARE, r_max=2.0, q_max=2))
+    D = reduce(build(SQUARE, "rips", r_max=2.0, q_max=2))
     assert D.persistent_betti(RankQuery(1, 1.0, 1.2)) == 1
     assert D.persistent_betti(RankQuery(1, 0.9, 1.2)) == 0
     assert D.persistent_betti(RankQuery(1, 1.0, RT2)) == 0
@@ -216,22 +229,26 @@ def test_rectangle_rule_examples():
 
 def test_isolated_points_rank():
     P = PointCloud(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), Box((0.0, 0.0), (6.0, 6.0)))
-    D = reduce(build_rips(P, r_max=1.0, q_max=1))
+    D = reduce(build(P, "rips", r_max=1.0, q_max=1))
     assert D.persistent_betti(RankQuery(0, 0.0, 0.0)) == 3
 
 
 def test_query_validation():
-    D = reduce(build_rips(SQUARE, r_max=2.0, q_max=2))
+    D = reduce(build(SQUARE, "rips", r_max=2.0, q_max=2))
     with pytest.raises(DomainError):
         RankQuery(1, 1.5, 1.0)
+    # a negative degree and NaN radii are rejected, not counted as 0
+    for q, r, s, message in ((-1, 1.0, 1.2, "q >= 0"), (1, math.nan, 1.2, "r <= s"), (1, 1.0, math.nan, "r <= s")):
+        with pytest.raises(DomainError, match=message):
+            RankQuery(q, r, s)
     with pytest.raises(CapError):
         D.persistent_betti(RankQuery(1, 1.0, 2.5))
 
 
 def test_direct_oracle_square():
-    C = build_rips(SQUARE, r_max=2.0, q_max=2)
+    C = build(SQUARE, "rips", r_max=2.0, q_max=2)
     assert persistent_betti_direct(C, RankQuery(1, 1.0, 1.2)) == 1
-    empty = build_rips(PointCloud(np.array([[0.0, 0.0]]), unit_box(2)), r_max=1.0, q_max=1)
+    empty = build(PointCloud(np.array([[0.0, 0.0]]), unit_box(2)), "rips", r_max=1.0, q_max=1)
     with pytest.raises(CapError):
         persistent_betti_direct(empty, RankQuery(1, 0.5, 0.5))
 
@@ -240,12 +257,12 @@ def test_queries_at_the_q_max_cap_raise():
     # the 4-cycle is born at 1 and dies at sqrt 2, but at q_max = 1 the complex
     # holds no triangle to record that death
     query = RankQuery(1, 1.2, 1.2)
-    capped = build_rips(SQUARE, r_max=2.0, q_max=1)
+    capped = build(SQUARE, "rips", r_max=2.0, q_max=1)
     with pytest.raises(CapError):
         reduce(capped).persistent_betti(query)
     with pytest.raises(CapError):
         persistent_betti_direct(capped, query)
-    full = build_rips(SQUARE, r_max=2.0, q_max=2)
+    full = build(SQUARE, "rips", r_max=2.0, q_max=2)
     assert reduce(full).persistent_betti(query) == persistent_betti_direct(full, query) == 1
     with pytest.raises(CapError):
         reduce(full).persistent_betti(RankQuery(3, 1.2, 1.2))
@@ -288,7 +305,7 @@ def test_oracle_cross_check_random_clouds():
 def test_monotonicity_in_r_and_s():
     rng = np.random.default_rng(33)
     P = PointCloud(rng.random((12, 2)), unit_box(2))
-    D = reduce(build_rips(P, r_max=1.0, q_max=2))
+    D = reduce(build(P, "rips", r_max=1.0, q_max=2))
     grid = np.linspace(0.0, 1.0, 6)
     for q in (0, 1):
         for s in grid:
@@ -302,7 +319,7 @@ def test_monotonicity_in_r_and_s():
 def test_euler_characteristic():
     rng = np.random.default_rng(34)
     P = PointCloud(rng.random((10, 2)), unit_box(2))
-    C = build_rips(P, r_max=1.5, q_max=2)
+    C = build(P, "rips", r_max=1.5, q_max=2)
     D = reduce(C)
     for r in sorted(set(C.event_times())):
         chi_cells = sum(
@@ -340,11 +357,11 @@ def test_connected_components():
     assert connected_component_count(empty, 1.0) == 0
     # coincident points are joined at threshold 0, as in the filtration
     twins = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), unit_box(2))
-    assert connected_component_count(twins, 0.0) == 2 == reduce(build_rips(twins, r_max=2.0, q_max=1)).persistent_betti(RankQuery(0, 0.0, 0.0))
+    assert connected_component_count(twins, 0.0) == 2 == reduce(build(twins, "rips", r_max=2.0, q_max=1)).persistent_betti(RankQuery(0, 0.0, 0.0))
     rng = np.random.default_rng(35)
     for _ in range(10):
         Q = PointCloud(rng.random((15, 2)), unit_box(2))
-        D = reduce(build_rips(Q, r_max=1.5, q_max=1))
+        D = reduce(build(Q, "rips", r_max=1.5, q_max=1))
         for t in (0.1, 0.25, 0.4):
             assert connected_component_count(Q, t) == D.persistent_betti(RankQuery(0, t, t))
 
@@ -377,8 +394,8 @@ def test_geometric_bound_on_rank_difference():
         Y = PointCloud(pts, unit_box(2))
         r, s = sorted(rng.uniform(0.1, 0.8, 2))
         for q in (0, 1):
-            bx = reduce(build_rips(X, r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
-            by = reduce(build_rips(Y, r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
+            bx = reduce(build(X, "rips", r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
+            by = reduce(build(Y, "rips", r_max=s, q_max=q + 1)).persistent_betti(RankQuery(q, r, s))
             bound = count_new_simplices(X, Y, s, q, "rips") + count_new_simplices(X, Y, s, q + 1, "rips")
             assert abs(by - bx) <= bound
 
@@ -386,9 +403,9 @@ def test_geometric_bound_on_rank_difference():
 def test_translation_scaling_invariance_of_ranks():
     rng = np.random.default_rng(37)
     P = PointCloud(rng.random((10, 2)), unit_box(2))
-    D = reduce(build_rips(P, r_max=1.0, q_max=2))
-    Dt = reduce(build_rips(P.translate([3.0, 4.0]), r_max=1.0, q_max=2))
-    Ds = reduce(build_rips(P.scale(2.0), r_max=2.0, q_max=2))
+    D = reduce(build(P, "rips", r_max=1.0, q_max=2))
+    Dt = reduce(build(P.translate([3.0, 4.0]), "rips", r_max=1.0, q_max=2))
+    Ds = reduce(build(P.scale(2.0), "rips", r_max=2.0, q_max=2))
     for q in (0, 1):
         for r, s in [(0.2, 0.5), (0.4, 0.4), (0.3, 0.9)]:
             v = D.persistent_betti(RankQuery(q, r, s))
@@ -397,7 +414,7 @@ def test_translation_scaling_invariance_of_ranks():
 
 
 def test_diagram_csv_roundtrip():
-    D = reduce(build_rips(SQUARE, r_max=2.0, q_max=2))
+    D = reduce(build(SQUARE, "rips", r_max=2.0, q_max=2))
     text = D.to_csv()
     assert text.splitlines()[0] == "q,birth,death"
     back = diagram_from_csv(text, q_max=2, r_max=2.0)
@@ -409,7 +426,7 @@ def test_diagram_csv_roundtrip():
 def test_infinite_pairs_count_betti_at_cap():
     rng = np.random.default_rng(38)
     P = PointCloud(rng.random((12, 2)), unit_box(2))
-    C = build_rips(P, r_max=1.5, q_max=2)
+    C = build(P, "rips", r_max=1.5, q_max=2)
     D = reduce(C)
     n_inf = int(np.count_nonzero((D.qs == 0) & np.isinf(D.deaths)))
     assert n_inf == D.persistent_betti(RankQuery(0, 1.5, 1.5))

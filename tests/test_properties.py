@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pslab.filtration import _lookup, build
+from pslab.filtration import build
 from pslab.persistence import RankQuery, _facet_ranks, boundary_masks, persistent_betti_direct_all, reduce
 from pslab.point_process import Box, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
 
@@ -148,24 +148,18 @@ def test_reduce_agrees_with_oracle_on_event_grid(P, cap, q_max):
 def _reference_facet_ranks(C, top):
     """The tuple-based derivation that the stored arrays replaced, kept here as
     the reference: flatten the vertex tuples into rows per dimension in the
-    stored order, lexsort each dimension to recompute its `_lookup` codes, and
-    look every facet up again.  Returns (cells, rows, facets)."""
+    stored order, and look every facet up again by its tuple among the rows
+    one dimension down.  Returns (cells, rows, facets)."""
     sizes = C.dims + 1
     flat = np.fromiter(itertools.chain.from_iterable(C.verts), dtype=np.intp, count=int(sizes.sum()))
     start = np.cumsum(sizes) - sizes
     cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
     rows = [flat[start[idx][:, None] + np.arange(k + 1)] for k, idx in enumerate(cells)]
-    n = int(rows[0].max(initial=-1)) + 1
-    to_rank = [np.zeros(n, dtype=np.intp)]
-    to_rank[0][rows[0][:, 0]] = np.arange(len(cells[0]))
-    codes, facets = [None], [None]
+    facets = [None]
     for k in range(1, top + 1):
-        lex = np.lexsort(rows[k].T[::-1])
-        sorted_rows = rows[k][lex]
-        codes.append(_lookup(codes, n, sorted_rows[:, :k]) * n + sorted_rows[:, k])
-        to_rank.append(lex)
-        sub = [np.delete(rows[k], c, axis=1) for c in range(k + 1)]
-        facets.append(np.column_stack([to_rank[k - 1][_lookup(codes, n, f)] for f in sub]))
+        rank = {tuple(v): i for i, v in enumerate(rows[k - 1].tolist())}
+        ranks = [[rank[tuple(v[:c] + v[c + 1:])] for c in range(k + 1)] for v in rows[k].tolist()]
+        facets.append(np.array(ranks, dtype=np.intp).reshape(-1, k + 1))
     return cells, rows, facets
 
 

@@ -13,7 +13,6 @@ from pslab.stabilization import (
     add_one_cost,
     radius_rows_to_csv,
     run_radius_jobs,
-    stabilization_trace,
     strong_radius_estimate,
     swap_difference,
     weak_radius,
@@ -114,7 +113,7 @@ def test_trace_step_values_and_monotone_d1():
     rng = np.random.default_rng(11)
     for _ in range(8):
         pts = rng.random((12, 2)) * 8.0 - 4.0
-        trace = stabilization_trace(_cloud(pts), np.array([[0.0, 0.0]]), np.zeros(2), 0.5, 0.7)
+        trace = weak_radius(_cloud(pts), np.array([[0.0, 0.0]]), np.zeros(2), 0.5, 0.7, return_trace=True)[1]
         assert np.all(np.diff(trace.radii) > 0)
         assert np.all(np.diff(trace.d1, axis=0) >= 0)
 
@@ -396,8 +395,8 @@ def test_points_beyond_the_window_change_nothing():
                 mixed = np.insert(base, np.sort(rng.integers(0, len(base) + 1, len(corners))), corners, axis=0)
                 for inner, outer in ((base, mixed), (np.empty((0, d)), corners)):
                     P, P_out = PointCloud(inner, box), PointCloud(outer, box)
-                    trace = stabilization_trace(P, Q, z, r, s, kind, window_radius=w).to_csv()
-                    assert stabilization_trace(P_out, Q, z, r, s, kind, window_radius=w).to_csv() == trace
+                    trace = weak_radius(P, Q, z, r, s, kind, window_radius=w, return_trace=True)[1].to_csv()
+                    assert weak_radius(P_out, Q, z, r, s, kind, window_radius=w, return_trace=True)[1].to_csv() == trace
                     for q in (0, 1):
                         want = strong_radius_estimate(P, Q, z, r, q, kind, window_radius=w)
                         assert strong_radius_estimate(P_out, Q, z, r, q, kind, window_radius=w) == want
@@ -410,8 +409,8 @@ def test_points_beyond_the_window_change_nothing():
     for q in (0, 1):
         est = strong_radius_estimate(P, Q, np.zeros(2), r, q, window_radius=a_star)
         assert est == RadiusEstimate(a_star, False, 0.0)
-    trace = stabilization_trace(P, Q, np.zeros(2), r, r, window_radius=a_star).to_csv()
-    assert trace == stabilization_trace(_empty(), Q, np.zeros(2), r, r, window_radius=a_star).to_csv()
+    trace = weak_radius(P, Q, np.zeros(2), r, r, window_radius=a_star, return_trace=True)[1].to_csv()
+    assert trace == weak_radius(_empty(), Q, np.zeros(2), r, r, window_radius=a_star, return_trace=True)[1].to_csv()
 
 
 def test_radii_reject_negative_time_and_unknown_kind():
@@ -439,7 +438,7 @@ def test_cloud_radii_is_the_separate_radii_and_rejects_a_degree_without_a_column
         P = sample_poisson_homogeneous(3.0, Box((-3.0, -3.0), (3.0, 3.0)), RngSeed(11, rep))
         est, trace, strong = stabilization.cloud_radii(P, Q, z, r, s, [0, 1], kind, 3.0)
         assert est == weak_radius(P, Q, z, r, s, kind, 3.0)
-        assert trace.to_csv() == stabilization_trace(P, Q, z, r, s, kind, 3.0).to_csv()
+        assert trace.to_csv() == weak_radius(P, Q, z, r, s, kind, 3.0, return_trace=True)[1].to_csv()
         assert strong == {q: strong_radius_estimate(P, Q, z, r, q, kind, 3.0) for q in (0, 1)}
     for q in (-1, 2):
         with pytest.raises(DomainError, match="no column"):
@@ -567,7 +566,7 @@ def test_swap_constant_in_large_n():
 
 
 def test_trace_csv_header():
-    trace = stabilization_trace(_cloud([(0.5, 0.0)]), np.array([[0.0, 0.0]]), np.zeros(2), 1.0, 1.0)
+    trace = weak_radius(_cloud([(0.5, 0.0)]), np.array([[0.0, 0.0]]), np.zeros(2), 1.0, 1.0, return_trace=True)[1]
     lines = trace.to_csv().splitlines()
     assert lines[0] == "a,q,D1,D2"
     assert len(lines) == 1 + len(trace.radii) * trace.d1.shape[1]
