@@ -31,6 +31,7 @@ from .point_process import (
 from .stabilization import (  # noqa: F401
     AddOneQuery,
     add_one_cost,
+    check_degrees,
     cloud_radii,
     strong_radius_estimate,
     weak_radius,
@@ -442,8 +443,7 @@ def radius_tail_experiment(
     percolation; censored replicates count as exceedances (conservative)."""
     if reps < 1:
         raise DomainError("radius tails need at least one replicate")
-    if any(not 0 <= q < d for q in q_list):
-        raise DomainError(f"homology degrees {list(q_list)} must lie in 0..{d - 1}")
+    check_degrees(q_list, d)
     L_grid = sorted(float(L) for L in L_grid)
     max_r = max(float(r) for r in r_grid)
     if window < max(L_grid) + 2.0 * mu(kind, max_r):

@@ -5,7 +5,9 @@ change when the ball B(z, a) gains a point, so probing the point distances is
 exact.  One walk over the cells in ball order reduces each boundary column
 once: the columns without the added points Q form one echelon, and those
 through Q a residue modulo its span, whose size and lows are the rank and
-pivot differences the trace counts (`_Residue`).  The strong radius is bounded
+pivot differences the trace counts (`_Residue`).  The boundary matrix is
+block-diagonal over the components of the edge graph, so the walk skips the
+components without a point of Q (`_joined`).  The strong radius is bounded
 from above by a cluster-locality horizon: the first probe radius at which
 every cluster of the mu(r)-graph that holds a new simplex lies well inside the
 probe ball.  It is finite only below percolation; the exact stopping-time
@@ -22,7 +24,7 @@ import numpy as np
 
 from .filtration import build, mu, restrict
 # boundary_masks is unused here; perfbench/tracer.py patches this attribute
-from .persistence import Echelon, RankQuery, UnionFind, _facet_ranks, boundary_masks, reduce  # noqa: F401
+from .persistence import Echelon, RankQuery, _facet_ranks, boundary_masks, reduce  # noqa: F401
 from .point_process import (
     BallWindow,
     Box,
@@ -134,23 +136,48 @@ def _reach(Q: np.ndarray, z: np.ndarray) -> float:
     return float(np.linalg.norm(Q - z, axis=1).max()) if len(Q) else 0.0
 
 
-def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float | None):
+def _radius_setup(P: PointCloud, Q, z, t: float, kind: str, window_radius: float | None, q_list=()):
     """P cut by `restrict` to the window ball B(z, w), in its order and with
     that ball as its window; z and the added points Q as float arrays; w (by
     default the largest ball around z inside P's window); and
     a*(t) = max |Q - z| + mu(t), which w must reach.  Both radii
     live on B(z, w), and a simplex on the kept points keeps its entry time
-    and stored order, so the cut is exact."""
+    and stored order, so the cut is exact.  Rejects a homology degree in
+    `q_list` outside 0..d-1, and a z or Q without d coordinates."""
+    check_degrees(q_list, P.d)
     if t < 0:
         raise DomainError(f"filtration time {t} must be nonnegative")
     z = np.asarray(z, dtype=float)
     Q = np.atleast_2d(np.asarray(Q, dtype=float)) if np.asarray(Q).size else np.empty((0, P.d))
+    if z.shape != (P.d,) or Q.ndim != 2 or Q.shape[1] != P.d:
+        raise DomainError(f"z and the added points need {P.d} coordinates each, not shapes {z.shape} and {Q.shape}")
     if window_radius is None:
         window_radius = window_radius_around(P.window, z)
     a_star = _reach(Q, z) + mu(kind, t)
     if window_radius < a_star:
         raise DomainError(f"window radius {window_radius} below a*({t}) = {a_star}")
     return restrict(P, z, window_radius), z, Q, window_radius, a_star
+
+
+def check_degrees(q_list, d: int) -> None:
+    """Rejects a homology degree outside 0..d-1: a radius in R^d has no
+    degree-q column for q >= d."""
+    if any(not 0 <= q < d for q in q_list):
+        raise DomainError(f"homology degrees {list(q_list)} must lie in 0..{d - 1}")
+
+
+def _joined(n: int, edges: np.ndarray, seeds) -> np.ndarray:
+    """Flags over the vertices 0..n-1: those joined to a seed by a path of
+    `edges` (rows of two vertex ids).  Each sweep over the edge rows flags
+    the other end of every edge with one flagged end, until none is left."""
+    hit = np.zeros(n, dtype=bool)
+    hit[seeds] = True
+    a, b = edges[:, 0], edges[:, 1]
+    while True:
+        cross = hit[a] != hit[b]
+        if not cross.any():
+            return hit
+        hit[a[cross]] = hit[b[cross]] = True
 
 
 class _Residue:
@@ -181,7 +208,12 @@ class _Residue:
 
 class _GlobalComplex:
     """One complex on P u Q with per-cell ball radii; restrictions are prefixes
-    in the (ball radius) filter while keeping the stored (time, dim) order."""
+    in the (ball radius) filter while keeping the stored (time, dim) order.
+
+    The boundary matrix is block-diagonal over the components of the edge
+    graph, and a block with no cell through Q adds nothing to a `_Residue`'s
+    size or lows.  So only the cells on vertices joined to Q by edges are
+    `walked`, and only they get a boundary column in `masks`."""
 
     def __init__(self, P: PointCloud, Q: np.ndarray, z: np.ndarray, kind: str, r_max: float, q_max: int):
         pts = np.vstack([P.points, Q]) if P.n else Q
@@ -189,18 +221,22 @@ class _GlobalComplex:
         C = self.C = build(merged, kind, r_max=r_max, q_max=q_max)
         dist = np.linalg.norm(pts - z, axis=1)
         self.point_dist = dist
+        joined = _joined(len(pts), C.verts.rows[1], np.arange(P.n, len(pts)))
         # a k-cell's boundary is an int over the ranks of its facets among the
         # (k-1)-cells, as in `reduce`; vertex rows are ascending, so the last
         # column holds each cell's largest index
         self.cells, facets = _facet_ranks(C, int(C.dims.max(initial=0)))
         self.cell_ball = np.zeros(C.n_cells)
         self.cell_uses_q = np.zeros(C.n_cells, dtype=bool)
+        self.walked = np.zeros(C.n_cells, dtype=bool)
         for rows, at in zip(C.verts.rows, C.verts.positions):
             self.cell_ball[at] = dist[rows].max(axis=1)
             self.cell_uses_q[at] = rows[:, -1] >= P.n
-        self.masks = [0] * C.n_cells
+            self.walked[at] = joined[rows[:, 0]]
+        self.masks = {}
         for cells, facets_k in zip(self.cells[1:], facets[1:]):
-            for i, row in zip(cells.tolist(), facets_k.tolist()):
+            walked = self.walked[cells]
+            for i, row in zip(cells[walked].tolist(), facets_k[walked].tolist()):
                 m = 0
                 for f in row:
                     m |= 1 << f
@@ -223,36 +259,36 @@ class _GlobalComplex:
         is the q-cells through Q born by r minus the residue of d_q, and D2
         the residue lows of d_{q+1} below early[q].  The column sets only
         grow with a, and all of these depend on the sets alone, so one walk
-        in ball order reduces each cell once.
+        in ball order over the walked cells reduces each of them once.
         """
         C, masks = self.C, self.masks
         early = [int((C.times[cells] <= r).sum()) for cells in self.cells]
-        order = np.argsort(self.cell_ball, kind="stable")
-        stops = np.searchsorted(self.cell_ball[order], radii, side="right").tolist()
-        order, dims = order.tolist(), C.dims.tolist()
-        born_by_r, uses_q = (C.times <= r).tolist(), self.cell_uses_q.tolist()
+        walked = np.flatnonzero(self.walked)
+        order = walked[np.argsort(self.cell_ball[walked], kind="stable")]
+        stops = np.searchsorted(self.cell_ball[order], radii, side="right")
         # residues of d_q on the cells born by r for q >= 1, and of d_{q+1};
         # with every cell born by r (r = s), the first is d_q's, whose lows
         # all lie below early[q - 1], so D1 reads it off D2
-        shared = all(born_by_r)
+        shared = bool((C.times <= r).all())
         born = None if shared else [_Residue() for _ in range(d)]
         alive = [_Residue() for _ in range(d)]
         any_low = C.n_cells
-        dz, dzb = [0] * d, [0] * d
-        d1 = np.zeros((len(radii), d), dtype=int)
-        d2 = np.zeros((len(radii), d), dtype=int)
-        start = 0
-        for row, stop in enumerate(stops):
-            for i in order[start:stop]:
-                q, star = dims[i], uses_q[i]
-                if q < d and born_by_r[i]:
-                    dz[q] += star
-                    if q and born:
-                        dz[q] -= born[q].insert(masks[i], star, any_low)
-                if 1 <= q <= d:
-                    dzb[q - 1] += alive[q - 1].insert(masks[i], star, early[q - 1])
-            start = stop
-            d1[row], d2[row] = dz, dzb
+        # D1's counts, then D2's, after each walked cell: one flat list
+        # holding a row before the first cell and one after each
+        tally = [0] * (2 * d)
+        counts = tally[:]
+        dims, uses_q = C.dims[order].tolist(), self.cell_uses_q[order].tolist()
+        born_by_r = (C.times[order] <= r).tolist()
+        for i, q, by_r, star in zip(order.tolist(), dims, born_by_r, uses_q):
+            if q < d and by_r:
+                tally[q] += star
+                if q and born:
+                    tally[q] -= born[q].insert(masks[i], star, any_low)
+            if 1 <= q <= d:
+                tally[d + q - 1] += alive[q - 1].insert(masks[i], star, early[q - 1])
+            counts += tally
+        counts = np.array(counts).reshape(-1, 2 * d)[stops]
+        d1, d2 = counts[:, :d], counts[:, d:]
         if shared:
             d1[:, 1:] -= d2[:, :-1]
         return d1, d2
@@ -279,9 +315,7 @@ def cloud_radii(
     """
     if not 0 <= r <= s:
         raise DomainError("weak radius needs 0 <= r <= s")
-    if any(not 0 <= q < P.d for q in q_list):
-        raise DomainError(f"homology degrees {list(q_list)} must lie in 0..{P.d - 1}")
-    P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius)
+    P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, s, kind, window_radius, q_list)
     G = _GlobalComplex(P, Q, z, kind, r_max=s, q_max=P.d)
     probes = np.unique(np.concatenate([G.point_dist, [a_star, window_radius]]))
     trace = StabilizationTrace(probes, *G.differences(probes, r, P.d))
@@ -331,11 +365,8 @@ def _horizon(C, dist: np.ndarray, n_P: int, r: float, q: int, kind: str, a_star:
     # every simplex through Q at parameter r sits inside B(z, a*(r))
     assert dist[new].max() <= a_star + 1e-9
 
-    sets = UnionFind(len(dist))
-    for a, b in edges.tolist():
-        sets.union(a, b)
-    roots = {sets.find(v) for v in new[:, 0].tolist()}
-    reach = max(float(dist[p]) for p in range(len(dist)) if sets.find(p) in roots)
+    # a simplex's vertices share a cluster, so its Q vertex finds it
+    reach = float(dist[_joined(len(dist), edges, new[:, -1])].max())
     horizons = np.unique(np.concatenate([dist[dist > a_star], [a_star, window_radius]]))
     settled = np.flatnonzero(reach <= horizons - 2.0 * mu(kind, r))
     if len(settled):
@@ -362,11 +393,12 @@ def strong_radius_estimate(
     then join such a cluster.  That is the test on the cluster cut to B(z, R),
     since a cut cluster inside B(z, R - 2 mu(r)) has all its neighbours within
     R - mu(r), so it is the whole cluster.  Past percolation the clusters are
-    unbounded and the estimate is censored at w.  At q = 0 every new vertex
-    has zero boundary, so it is positive at once and the estimate is a*(r),
-    with no complex built.
+    unbounded and the estimate is censored at w.  One `_joined` sweep from
+    the Q vertices of the new simplices finds their clusters.  At q = 0 every
+    new vertex has zero boundary, so it is positive at once and the estimate
+    is a*(r), with no complex built.
     """
-    P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius)
+    P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius, [q])
     pts = np.vstack([P.points, Q]) if P.n else Q
     # `_horizon` reads no complex at q = 0, so none is built
     C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q) if q else None
@@ -431,10 +463,13 @@ def radius_rows_to_csv(rows: list[tuple[np.ndarray, float, float, RadiusEstimate
 
 
 def run_radius_jobs(jobs: list[dict]) -> list[tuple[np.ndarray, float, float, RadiusEstimate]]:
-    """Batch driver.  Each job: mode (weak|strong), seed, stream, lambda,
-    window_radius, d, r, s (weak) or q (strong), kind."""
+    """Batch driver.  Each job: mode (weak, the default, or strong), seed,
+    stream, lambda, window_radius, d, r, s (weak) or q (strong), kind."""
     out = []
     for job in jobs:
+        mode = job.get("mode", "weak")
+        if mode not in ("weak", "strong"):
+            raise DomainError(f"unknown radius mode {mode!r}: expected weak or strong")
         d = int(job.get("d", 2))
         w = float(job["window_radius"])
         kind = job.get("kind", "rips")
@@ -445,7 +480,7 @@ def run_radius_jobs(jobs: list[dict]) -> list[tuple[np.ndarray, float, float, Ra
         z = np.asarray(job.get("z", [0.0] * d), dtype=float)
         Q = np.asarray(job.get("Q", [[0.0] * d]), dtype=float)
         r = float(job["r"])
-        if job.get("mode", "weak") == "strong":
+        if mode == "strong":
             est = strong_radius_estimate(P, Q, z, r, int(job["q"]), kind, window_radius=w)
             out.append((z, r, r, est))
         else:

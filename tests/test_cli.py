@@ -171,13 +171,34 @@ def test_radius_command(tmp_path):
     jobs = [
         {"mode": "weak", "lambda": 1.0, "window_radius": 5.0, "r": 0.5, "s": 0.7},
         {"mode": "strong", "lambda": 1.0, "window_radius": 5.0, "r": 0.5, "q": 0},
+        {"lambda": 1.0, "window_radius": 5.0, "r": 0.5, "s": 0.7, "stream": 0},  # no mode: the first job's
     ]
     cfg = _cfg(tmp_path, "r.json", {"jobs": jobs, "seed": 3})
     out = tmp_path / "out"
     assert main(["radius", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "radius.csv").read_text().splitlines()
     assert lines[0] == "z,r,s,value,censored"
-    assert len(lines) == 3
+    assert len(lines) == 4 and lines[3] == lines[1]
+
+
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        ({"mode": "wek", "r": 0.5, "s": 0.7}, "unknown radius mode 'wek'"),
+        ({"mode": "strong", "r": 0.5, "q": 5}, "homology degrees [5] must lie in 0..1"),
+        ({"mode": "strong", "r": 0.5, "q": -1}, "homology degrees [-1] must lie in 0..1"),
+        ({"mode": "weak", "r": 0.5, "s": 0.7, "z": [0.0, 0.0, 0.0]}, "2 coordinates"),
+        ({"mode": "strong", "r": 0.5, "q": 1, "Q": [[0.0]]}, "2 coordinates"),
+    ],
+)
+def test_radius_job_with_unknown_mode_or_bad_degree_or_dimension_is_config_error(tmp_path, capsys, job, message):
+    """A job whose mode is neither weak nor strong, whose degree has no
+    column in d = 2, or whose z or Q has the wrong dimension exits 2 with
+    one line naming it."""
+    cfg = _cfg(tmp_path, "r.json", {"jobs": [{"lambda": 1.0, "window_radius": 3.0, **job}], "seed": 3})
+    assert main(["radius", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_alpha_command_degenerate(tmp_path):

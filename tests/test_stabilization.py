@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from pslab.filtration import build, mu
 from pslab import stabilization
@@ -193,6 +195,29 @@ def test_global_complex_cell_radii_match_per_cell_loop():
     assert np.array_equal(G.cell_uses_q, [any(i >= P.n for i in v) for v in G.C.verts])
 
 
+def test_joined_matches_connected_components():
+    """The reach sweep flags exactly the vertices whose csgraph component
+    holds a seed: on graphs with no edge, with repeated edges and self-loops,
+    with no seed, and with seeds in several components."""
+    rng = np.random.default_rng(79)
+    cases = [
+        (5, np.empty((0, 2), dtype=np.intp), np.array([1, 3])),
+        (6, np.array([[0, 1], [1, 2], [1, 2]]), np.array([], dtype=np.intp)),
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+        edges = np.vstack([edges, edges[: len(edges) // 3, ::-1]])
+        cases.append((n, edges, rng.choice(n, int(rng.integers(0, min(n, 4) + 1)), replace=False)))
+    split = 0
+    for n, edges, seeds in cases:
+        graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+        labels = connected_components(graph, directed=False)[1]
+        assert np.array_equal(stabilization._joined(n, edges, seeds), np.isin(labels, labels[seeds]))
+        split += len(np.unique(labels[seeds])) > 1
+    assert split > 50
+
+
 class _WholeComplexMasks(_GlobalComplex):
     """Reference radius layer with whole-complex facet bits: boundary columns
     are `boundary_masks` (bit j = cell j in the stored order), and
@@ -264,9 +289,13 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
     lattice distance, so cells born exactly at r sit on that boundary, and
     at r = s every cell is born by r, so D1 is read off D2's residue.  The
     clouds at density 4 make a cell without Q take a residue low, which is
-    then reduced again; the test requires that it happens."""
+    then reduced again; the test requires that it happens.  The radius layer
+    walks only the components of the edge graph that hold a point of Q,
+    while the reference walks every cell; the test requires clouds where
+    that cut drops cells and clouds where it keeps all of them."""
     insert = stabilization._Residue.insert
-    displaced = 0
+    differences = stabilization._GlobalComplex.differences
+    displaced = cut = whole = 0
 
     def spy(self, v, star, below):
         nonlocal displaced
@@ -275,7 +304,14 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
         displaced += not star and not before <= self.residue.keys()
         return out
 
+    def spy_differences(self, *args):
+        nonlocal cut, whole
+        cut += not self.walked.all()
+        whole += bool(self.walked.all())
+        return differences(self, *args)
+
     monkeypatch.setattr(stabilization._Residue, "insert", spy)
+    monkeypatch.setattr(stabilization._GlobalComplex, "differences", spy_differences)
     rng = np.random.default_rng(61)
     for density in (1.0, 4.0):
         for d, w, caps in ((2, 2.5, [("rips", 0.4, 0.6), ("rips", 0.5, 0.75), ("cech", 0.25, 0.4), ("rips", 0.5, 0.5)]),
@@ -299,6 +335,7 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
                     assert np.array_equal(new[1].d1, old[1].d1)
                     assert np.array_equal(new[1].d2, old[1].d2)
     assert displaced > 0
+    assert cut > 0 and whole > 0
 
 
 def _strong_reference(P, Q, z, r, q, kind, w):
@@ -309,7 +346,8 @@ def _strong_reference(P, Q, z, r, q, kind, w):
     its vertices in B(z, R) lie inside B(z, R - 2 mu(r)) (locality)."""
     _, z, Q, w, a_star = stabilization._radius_setup(P, Q, z, r, kind, w)
     interaction = mu(kind, r)
-    G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q + 1)
+    # whole-complex masks, so the base holds every q-cell, not only Q's components
+    G = _WholeComplexMasks(P, Q, z, kind, r_max=r, q_max=q + 1)
     C = G.C
     new_ids = np.flatnonzero((C.dims == q) & G.cell_uses_q).tolist()
     if not new_ids:
@@ -379,6 +417,23 @@ def test_strong_estimate_matches_per_horizon_echelon_copies():
     assert 0 < censored < checked
 
 
+def test_horizon_reads_only_the_clusters_holding_a_new_simplex():
+    """Two added points in d = 3, Rips at r = 0.5: one on a triangle near z,
+    the other on a chain that runs to 3.7 from z, with no triangle.  At q = 2
+    only the first holds a new simplex, so its cluster, reaching 0.3, gives
+    the horizon a*(r); reading the chain's cluster too would censor it at
+    w = 4.  At q = 1 the chain's edge is a new simplex, and it is censored."""
+    box = Box((-4.0,) * 3, (4.0,) * 3)
+    chain = [(0.0, 0.0, 1.3 + 0.4 * k) for k in range(7)]
+    P = PointCloud(np.array([(0.3, 0.0, 0.0), (0.0, 0.3, 0.0), *chain]), box)
+    Q, z, r, w = np.array([(0.0, 0.0, 0.0), (0.0, 0.0, 0.9)]), np.zeros(3), 0.5, 4.0
+    a_star = stabilization._radius_setup(P, Q, z, r, "rips", w)[4]
+    strong = stabilization.cloud_radii(P, Q, z, r, r, [1, 2], "rips", w)[2]
+    for q, want in ((1, RadiusEstimate(w, True, 0.0)), (2, RadiusEstimate(a_star, False, 0.0))):
+        assert strong_radius_estimate(P, Q, z, r, q, "rips", w) == strong[q] == want
+        assert _strong_reference(P, Q, z, r, q, "rips", w) == want
+
+
 def test_points_beyond_the_window_change_nothing():
     """Both radii live on B(z, w): points added in the corners of the sampling
     box, past w, and interleaved with the base points leave the weak trace CSV
@@ -445,6 +500,13 @@ def test_cloud_radii_is_the_separate_radii_and_rejects_a_degree_without_a_column
             trace.settled_radius(q)
         with pytest.raises(DomainError, match="homology degrees"):
             stabilization.cloud_radii(P, Q, z, 0.5, 0.5, [0, q], window_radius=3.0)
+        with pytest.raises(DomainError, match="homology degrees"):
+            strong_radius_estimate(P, Q, z, 0.5, q, window_radius=3.0)
+    for bad_z, bad_Q in ((np.zeros(3), Q), (z, np.zeros((1, 3))), (np.zeros((1, 2)), Q)):
+        with pytest.raises(DomainError, match="2 coordinates"):
+            weak_radius(P, bad_Q, bad_z, 0.5, 0.5, window_radius=3.0)
+        with pytest.raises(DomainError, match="2 coordinates"):
+            strong_radius_estimate(P, bad_Q, bad_z, 0.5, 1, window_radius=3.0)
 
 
 def test_strong_estimate_at_q0_is_a_star_without_a_build(monkeypatch):
