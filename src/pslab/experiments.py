@@ -1,6 +1,6 @@
 """Monte Carlo harness: alpha estimation, CLT replicate studies, the
-binomial/Poisson variance relation, de-Poissonization, expectation
-convergence, and radius-tail tables.
+binomial/Poisson variance relation, de-Poissonization, and radius-tail
+tables.
 
 Replicates run in one loop over the replicate index, and replicate i draws
 only from the seed derived for index i, so no replicate depends on another.
@@ -128,7 +128,8 @@ def _replicate_betas(
     process: str, density: Density, kind: str, q: int, pairs, n: int, reps: int, base: RngSeed, r_max: float
 ) -> np.ndarray:
     """beta_q^{r,s} of n^{1/d} S_n for each pair (columns) and replicate i, drawn
-    from base.derive(i) (rows), each row from one complex built at (r_max, q + 1)."""
+    from base.derive(i) (rows), each row from one complex built at (r_max, q + 1):
+    the CLT sampler of `run_clt`."""
     queries = [RankQuery(q, r, s) for r, s in pairs]
     rows = []
     for rep in range(reps):
@@ -280,7 +281,7 @@ def run_clt(config: CltConfig) -> CltResult:
 
 
 # ---------------------------------------------------------------------------
-# Variance relation, expectation convergence, de-Poissonization
+# Variance relation, de-Poissonization
 # ---------------------------------------------------------------------------
 
 
@@ -299,12 +300,23 @@ def _jackknife_cov_se(std: np.ndarray) -> np.ndarray:
     return np.sqrt((r - 1) / r * ((thetas - bar) ** 2).sum(axis=0))
 
 
+def _check_alpha(alpha: AlphaEstimate, q: int, r: float, s: float) -> None:
+    """Rejects an alpha estimated at another (q, r, s) than the one judged."""
+    if (alpha.q, alpha.r, alpha.s) != (q, r, s):
+        raise DomainError(f"alpha at (q, r, s) = {(alpha.q, alpha.r, alpha.s)} does not match {(q, r, s)}")
+
+
 def variance_relation_check(poisson: CltResult, binomial: CltResult, alphas: list) -> dict:
-    """Check Sigma_bin == Sigma_poi - alpha alpha^T entrywise at 3 SE."""
-    if poisson.config.pairs != binomial.config.pairs:
-        raise DomainError("pair lists must match between the two runs")
-    if len(alphas) != len(poisson.config.pairs):
+    """Check Sigma_bin == Sigma_poi - alpha alpha^T entrywise at 3 SE.
+    The runs must share their kind, q and pairs, and alphas[i] must be the
+    estimate at (q, pairs[i])."""
+    cp, cb = poisson.config, binomial.config
+    if (cp.kind, cp.q, cp.pairs) != (cb.kind, cb.q, cb.pairs):
+        raise DomainError("kind, q and pair lists must match between the two runs")
+    if len(alphas) != len(cp.pairs):
         raise DomainError("one alpha estimate per pair required")
+    for al, (r, s) in zip(alphas, cp.pairs):
+        _check_alpha(al, cp.q, r, s)
     n = max(set(poisson.per_n) & set(binomial.per_n))
     sp, sb = poisson.per_n[n], binomial.per_n[n]
     a = np.array([al.value for al in alphas])
@@ -333,28 +345,6 @@ def variance_relation_check(poisson: CltResult, binomial: CltResult, alphas: lis
     return {"n": n, "entries": entries, "pass": all(e["pass"] for e in entries)}
 
 
-def expectation_convergence(
-    process: str,
-    density: Density,
-    pair: tuple,
-    q: int,
-    n_grid,
-    reps: int,
-    seed: RngSeed,
-    kind: str = "rips",
-) -> list[dict]:
-    """Per-n estimates of n^{-1} E[beta], with successive differences."""
-    if reps < 2:
-        raise DomainError("expectation convergence needs at least two replicates")
-    rows = []
-    for n_idx, n in enumerate(sorted(n_grid)):
-        vals = _replicate_betas(process, density, kind, q, [pair], n, reps, seed.derive(n_idx), pair[1])[:, 0] / n
-        rows.append({"n": n, "mean": float(vals.mean()), "se": float(vals.std(ddof=1) / math.sqrt(reps))})
-    for i, row in enumerate(rows):
-        row["delta"] = math.nan if i == 0 else row["mean"] - rows[i - 1]["mean"]
-    return rows
-
-
 def depoissonization_check(
     n: int,
     r: float,
@@ -367,7 +357,8 @@ def depoissonization_check(
     alpha: AlphaEstimate | None = None,
 ) -> dict:
     """E[R_{n,n}] vs alpha(r,s): paired add-one increments of the scaled
-    binomial process against the local Poisson estimate."""
+    binomial process against the local Poisson estimate, which must be the
+    one at (q, r, s)."""
     if reps < 2:
         raise DomainError("de-Poissonization needs at least two replicates")
     if alpha is None:
@@ -375,6 +366,7 @@ def depoissonization_check(
             r, s, q, density, window_radius=max(3.0, 3.0 * mu(kind, s)),
             reps=min(reps, 2000), seed=seed.derive(10**6), kind=kind,
         )
+    _check_alpha(alpha, q, r, s)
     scale = n ** (1.0 / density.d)
 
     def one(rep: int):

@@ -42,8 +42,22 @@ def mu(kind: str, r: float) -> float:
 def _norms(U: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of U (shape (..., d)), rounded exactly as
     `np.linalg.norm` rounds each row: the stacked 1 x d by d x 1 products go
-    through the same dot kernel as the norm of a single vector."""
-    return np.sqrt((U[..., None, :] @ U[..., :, None])[..., 0, 0])
+    through the same dot kernel as the norm of a single vector.
+
+    A row whose sum of squares is below 2^-960, where a square can underflow
+    and lose bits, is taken again scaled by 2^600, which is exact.  Its norm
+    is then the one an unbounded exponent would give, and so scales exactly
+    with a cloud scaled by a power of two, unless it is below 2^-1000: there
+    it, its Cech half or a halved cloud's norm may be subnormal, with fewer
+    than 53 bits, and it is taken as 0, which scales exactly."""
+    sq = (U[..., None, :] @ U[..., :, None])[..., 0, 0]
+    out = np.sqrt(sq)
+    small = sq < 2.0**-960
+    if small.any():
+        V = U[small] * 2.0**600
+        norm = np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]) * 2.0**-600
+        out[small] = np.where(norm < 2.0**-1000, 0.0, norm)
+    return out
 
 
 def _raise_lstsq(err, flag):
@@ -96,13 +110,13 @@ def _enclosing_balls(X: np.ndarray, fc: np.ndarray, fr: np.ndarray) -> tuple[np.
 
 
 class Simplices(Sequence):
-    """The cells of a filtered complex as arrays, per dimension k <= q_max:
-    `rows[k]`, the k-simplices as ascending vertex-id rows in lexicographic
-    order; `facets[k]`, whose column c holds, for each row, the index in
-    `rows[k - 1]` of its facet without vertex c (no columns at k = 0); and
-    `positions[k]`, the position of each row in the complex's stored order.
-    The vertices are the 0-cells 0..n-1.  As a sequence it reads the vertex
-    tuples in the stored order."""
+    """The cells of a filtered complex as arrays, per dimension k <= q_max,
+    each in the complex's stored order: `rows[k]`, the k-simplices as
+    ascending vertex-id rows; `facets[k]`, whose column c holds, for each
+    row, the index in `rows[k - 1]` of its facet without vertex c, which is
+    the facet's rank among the (k-1)-cells (no columns at k = 0); and
+    `positions[k]`, the ascending positions of the k-cells in the whole
+    complex.  As a sequence it reads the vertex tuples in the stored order."""
 
     def __init__(self, rows: list[np.ndarray], facets: list[np.ndarray], positions: list[np.ndarray]):
         self.rows, self.facets, self.positions = rows, facets, positions
@@ -142,20 +156,17 @@ class FilteredComplex:
 
     def __post_init__(self):
         # ascending vertex tuples in the stored order, as `complex_from_text`
-        # gives, become the arrays once; a facet is looked up by its tuple one
-        # dimension down, and stored as -1 if it is not a cell there, which
-        # `persistence._facet_ranks` rejects
+        # gives, become the arrays once, each dimension in the order given; a
+        # facet is looked up by its tuple one dimension down, and stored as -1
+        # if it is not a cell there, which `persistence.reduce` rejects
         if isinstance(self.verts, Simplices):
             return
         verts = list(self.verts)
         sizes = np.array([len(v) for v in verts], dtype=np.intp)
         rows, facets, positions, index = [], [], [], {}
         for k in range(max(self.q_max, int(sizes.max(initial=1)) - 1) + 1):
-            at = np.flatnonzero(sizes == k + 1)
-            block = np.array([verts[i] for i in at.tolist()], dtype=np.intp).reshape(-1, k + 1)
-            lex = np.lexsort(block.T[::-1])
-            rows.append(block[lex])
-            positions.append(at[lex])
+            positions.append(np.flatnonzero(sizes == k + 1))
+            rows.append(np.array([verts[i] for i in positions[k].tolist()], dtype=np.intp).reshape(-1, k + 1))
             tuples = [tuple(v) for v in rows[k].tolist()]
             width = k + 1 if k else 0
             found = [[index.get(v[:c] + v[c + 1:], -1) for c in range(width)] for v in tuples]
@@ -229,9 +240,9 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
     n = pts.shape[0]
 
     # Per dimension k: the k-simplices as vertex rows in lexicographic order,
-    # their entry times and their facets (see `Simplices`); for Cech also the
-    # centers and radii of their smallest enclosing balls, from which the next
-    # dimension's balls are built.  `codes` keys the rows of the last
+    # their entry times and their facets' indices among those rows; for Cech
+    # also the centers and radii of their smallest enclosing balls, from which
+    # the next dimension's balls are built.  `codes` keys the rows of the last
     # dimension as (index of the prefix face) * n + last vertex, ascending.
     simplices = [np.arange(n, dtype=np.intp).reshape(n, 1)]
     times = [np.zeros(n)]
@@ -290,15 +301,27 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
 
     sizes = [len(s) for s in simplices]
     times_arr = np.concatenate(times)
-    dims_arr = np.repeat(np.arange(len(sizes)), sizes)
     # the dimensions follow each other in lexicographic order, so a stable
     # sort by time (by its rank among the distinct times) gives the stored
     # (time, dimension, lexicographic) order
     order = _stable_argsort(np.unique(times_arr, return_inverse=True)[1])
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    positions = np.split(position, np.cumsum(sizes)[:-1])
-    return FilteredComplex(q_max, r_max, Simplices(simplices, facets, positions), times_arr[order], dims_arr[order])
+    dims_arr = np.repeat(np.arange(len(sizes)), sizes)[order]
+    # the vertices come first, at time 0, in their own order, so an edge's
+    # facets are already ranks; each higher dimension's rows are put in the
+    # stored order, and their facets renamed from lexicographic indices to
+    # ranks by the inverse of the dimension below
+    positions, start = [np.arange(n, dtype=np.intp)], n
+    for k in range(1, len(sizes)):
+        positions.append(np.flatnonzero(dims_arr == k))
+        lex = order[positions[k]] - start
+        simplices[k] = np.take(simplices[k], lex, axis=0)
+        facets[k] = np.take(facets[k], lex, axis=0)
+        if k > 1:
+            facets[k] = rank[facets[k]]
+        rank = np.empty(sizes[k], dtype=np.intp)
+        rank[lex] = np.arange(sizes[k])
+        start += sizes[k]
+    return FilteredComplex(q_max, r_max, Simplices(simplices, facets, positions), times_arr[order], dims_arr)
 
 
 def restrict(P: PointCloud, center, a: float) -> PointCloud:

@@ -2,9 +2,10 @@
 
 Chains are bitmask integers, so all linear algebra is XOR on Python ints.
 `reduce` (persistent cohomology with clearing) and the stabilization radii
-index a chain of k-cells by their ranks within dimension k, and find facets
-through `_facet_ranks`.  `Echelon`, an insert-only pivot table, is the one
-kernel they feed.  `reduce` forms no column in dimension 0, whose pairs are
+index a chain of k-cells by their ranks within dimension k, which are the
+indices of the complex's stored rows, and read each cell's facets by rank
+from its stored facet array.  `Echelon`, an insert-only pivot table, is the
+one kernel they feed.  `reduce` forms no column in dimension 0, whose pairs are
 the elder-rule merges along the minimum spanning tree, and above it reads
 apparent pairs (Bauer 2021, Ripser) off the facet arrays: they seed the
 echelon as lazy pivots, whose ints are built only if a later column's
@@ -139,28 +140,6 @@ class UnionFind:
         return ra, rb
 
 
-def _facet_ranks(C: FilteredComplex, top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per dimension k <= top: the stored positions of the k-cells, ascending,
-    and (for k >= 1) an m_k x (k + 1) array whose row b holds the ranks among
-    the (k-1)-cells of the facets of the k-cell of rank b.  A rank is a
-    position within one dimension, in the complex's stored order.  Raises
-    DomainError when a facet is not a cell of the complex."""
-    S = C.verts
-    cells = [np.flatnonzero(C.dims == k) for k in range(top + 1)]
-    rank = np.empty(C.n_cells, dtype=np.intp)
-    for cells_k in cells:
-        rank[cells_k] = np.arange(len(cells_k))
-    facets: list = [None]
-    for k in range(1, top + 1):
-        if S.facets[k].min(initial=0) < 0:
-            raise DomainError(f"a {k}-cell has a facet that is not a cell: the complex is not closed under faces")
-        # the stored facets of the lexicographic rows, taken in rank order
-        by_rank = np.empty(len(S.rows[k]), dtype=np.intp)
-        by_rank[rank[S.positions[k]]] = np.arange(len(by_rank))
-        facets.append(rank[S.positions[k - 1][S.facets[k][by_rank]]])
-    return cells, facets
-
-
 def reduce(C: FilteredComplex) -> PersistenceDiagram:
     """Persistent cohomology with clearing over F2.
 
@@ -186,20 +165,25 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     seeds the echelon as a lazy pivot, keyed by its cell, whose int
     `Echelon.insert` builds only when a reduction lands on that low.  Only the
     other columns are formed and inserted.
+
+    Raises DomainError when a cell of dimension 1..q_max has a facet that is
+    not a cell, which a complex given as tuples may have.
     """
     ends = np.full(C.n_cells, math.inf)  # death time of the class each cell creates
     killed = np.zeros(C.n_cells, dtype=bool)
     top = min(int(C.dims.max(initial=0)), C.q_max)
-    if top > 0:
-        cells, facets = _facet_ranks(C, top)
-        for k in range(top):
-            if k == 0:
-                births, deaths = _elder_pairs(C.verts, cells[1], facets[1], len(cells[0]))
-            else:
-                births, deaths = _coboundary_pairs(facets[k + 1], ~killed[cells[k]])
-            dead = cells[k + 1][deaths]
-            ends[cells[k][births]] = C.times[dead]
-            killed[dead] = True
+    cells, facets = C.verts.positions, C.verts.facets
+    for k in range(1, top + 1):
+        if facets[k].min(initial=0) < 0:
+            raise DomainError(f"a {k}-cell has a facet that is not a cell: the complex is not closed under faces")
+    for k in range(top):
+        if k == 0:
+            births, deaths = _elder_pairs(facets[1], len(cells[0]))
+        else:
+            births, deaths = _coboundary_pairs(facets[k + 1], ~killed[cells[k]])
+        dead = cells[k + 1][deaths]
+        ends[cells[k][births]] = C.times[dead]
+        killed[dead] = True
 
     keep = ~killed  # a death kills a class and creates none
     if C.q_max > 0:
@@ -214,22 +198,18 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
     )
 
 
-def _elder_pairs(S, edge_cells: np.ndarray, edge_facets: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
-    """Dimension-0 pairs of the m vertices and the edges, at stored positions
-    edge_cells, with the given facet ranks, as (vertex ranks, edge ranks):
-    the edges of the minimum spanning tree by rank, walked in rank order,
-    each killing the younger root."""
-    # the tree of a graph on the vertices' indices among the lexicographic
-    # vertex rows; the edge rows are lexicographic, so they are already a
-    # CSR layout.  The weight is the stored position + 1, which orders the
-    # edges as their ranks do (csgraph reads a zero weight as no edge); the
-    # weights are distinct, so the tree is unique
-    ends = S.facets[1]
-    graph = csr_array((S.positions[1] + 1.0, ends[:, 0].copy(), np.searchsorted(ends[:, 1], np.arange(m + 1))), shape=(m, m))
-    tree = np.sort(minimum_spanning_tree(graph, overwrite=True).data).astype(np.intp) - 1
-    deaths = np.searchsorted(edge_cells, tree)
+def _elder_pairs(F: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
+    """Dimension-0 pairs of the m vertices and the edges with facet ranks F,
+    as (vertex ranks, edge ranks): the edges of the minimum spanning tree by
+    rank, walked in rank order, each killing the younger root."""
+    # the graph as CSR, a row per edge's first vertex; edge i weighs i + 1
+    # (csgraph reads a zero weight as no edge), so the weights are distinct,
+    # the tree is unique, and its weights minus 1 are its edges' ranks
+    by = _stable_argsort(F[:, 1])
+    graph = csr_array((by + 1.0, F[by, 0], np.searchsorted(F[by, 1], np.arange(m + 1))), shape=(m, m))
+    deaths = np.sort(minimum_spanning_tree(graph, overwrite=True).data).astype(np.intp) - 1
     sets = UnionFind(m)
-    return [sets.union(u, v)[0] for u, v in edge_facets[deaths].tolist()], deaths
+    return [sets.union(u, v)[0] for u, v in F[deaths].tolist()], deaths
 
 
 def _coboundary_pairs(F: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

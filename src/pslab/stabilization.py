@@ -24,7 +24,7 @@ import numpy as np
 
 from .filtration import build, mu, restrict
 # boundary_masks is unused here; perfbench/tracer.py patches this attribute
-from .persistence import Echelon, RankQuery, _facet_ranks, boundary_masks, reduce  # noqa: F401
+from .persistence import Echelon, RankQuery, boundary_masks, reduce  # noqa: F401
 from .point_process import (
     BallWindow,
     Box,
@@ -219,22 +219,22 @@ class _GlobalComplex:
         pts = np.vstack([P.points, Q]) if P.n else Q
         merged = PointCloud(pts, P.window)
         C = self.C = build(merged, kind, r_max=r_max, q_max=q_max)
+        S = C.verts
         dist = np.linalg.norm(pts - z, axis=1)
         self.point_dist = dist
-        joined = _joined(len(pts), C.verts.rows[1], np.arange(P.n, len(pts)))
-        # a k-cell's boundary is an int over the ranks of its facets among the
-        # (k-1)-cells, as in `reduce`; vertex rows are ascending, so the last
-        # column holds each cell's largest index
-        self.cells, facets = _facet_ranks(C, int(C.dims.max(initial=0)))
+        joined = _joined(len(pts), S.rows[1], np.arange(P.n, len(pts)))
+        # a k-cell's boundary is an int over its stored facets, their ranks
+        # among the (k-1)-cells, as in `reduce`; vertex rows are ascending, so
+        # the last column holds each cell's largest index
         self.cell_ball = np.zeros(C.n_cells)
         self.cell_uses_q = np.zeros(C.n_cells, dtype=bool)
         self.walked = np.zeros(C.n_cells, dtype=bool)
-        for rows, at in zip(C.verts.rows, C.verts.positions):
+        for rows, at in zip(S.rows, S.positions):
             self.cell_ball[at] = dist[rows].max(axis=1)
             self.cell_uses_q[at] = rows[:, -1] >= P.n
             self.walked[at] = joined[rows[:, 0]]
         self.masks = {}
-        for cells, facets_k in zip(self.cells[1:], facets[1:]):
+        for cells, facets_k in zip(S.positions[1:], S.facets[1:]):
             walked = self.walked[cells]
             for i, row in zip(cells[walked].tolist(), facets_k[walked].tolist()):
                 m = 0
@@ -262,7 +262,7 @@ class _GlobalComplex:
         in ball order over the walked cells reduces each of them once.
         """
         C, masks = self.C, self.masks
-        early = [int((C.times[cells] <= r).sum()) for cells in self.cells]
+        early = [int((C.times[cells] <= r).sum()) for cells in C.verts.positions]
         walked = np.flatnonzero(self.walked)
         order = walked[np.argsort(self.cell_ball[walked], kind="stable")]
         stops = np.searchsorted(self.cell_ball[order], radii, side="right")

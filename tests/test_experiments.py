@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from pslab.experiments import (
     covariance_csv,
     depoissonization_check,
     estimate_alpha,
-    expectation_convergence,
     normality_score,
     radius_tail_experiment,
     replicates_csv,
@@ -215,6 +215,30 @@ def test_variance_relation_degenerate_chain():
         variance_relation_check(poi, binom, [alpha, alpha])
 
 
+def test_judges_reject_runs_and_alphas_of_another_degree_kind_or_pair():
+    """The variance relation compares two runs of one kind and degree, each
+    against the alpha of its own (q, r, s); de-Poissonization likewise takes
+    only the alpha of its (q, r, s).  Each mismatch raises before judging."""
+    poi = run_clt(_clt_config("poisson", reps=50))
+    binom = run_clt(_clt_config("binomial", reps=50))
+    alpha = AlphaEstimate(0.0, 0.0, 0, 1.0, 0.0, 3.0, 0.0)
+    assert variance_relation_check(poi, binom, [alpha])["n"] == 100
+    binom_q1 = run_clt(_clt_config("binomial", reps=50, q=1))
+    cech = run_clt(dataclasses.replace(binom.config, kind="cech"))
+    for other, alphas, message in (
+        (binom_q1, [alpha], "must match between the two runs"),
+        (cech, [alpha], "must match between the two runs"),
+        (binom, [AlphaEstimate(0.5, 0.7, 1, 0.1, 0.01, 4.0, 0.0)], "does not match"),
+        (binom, [AlphaEstimate(0.0, 0.0, 1, 0.0, 0.0, 3.0, 0.0)], "does not match"),
+        (binom, [AlphaEstimate(0.0, 0.5, 0, 1.0, 0.0, 3.0, 0.0)], "does not match"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            variance_relation_check(poi, other, alphas)
+    for wrong in (AlphaEstimate(0.5, 0.7, 1, 0.1, 0.01, 4.0, 0.0), AlphaEstimate(0.0, 0.0, 1, 0.0, 0.0, 3.0, 0.0)):
+        with pytest.raises(DomainError, match="does not match"):
+            depoissonization_check(50, 0.0, 0.0, 0, KAPPA, reps=60, seed=RngSeed(6, 0), alpha=wrong)
+
+
 def test_clt_config_validation():
     with pytest.raises(DomainError):
         _clt_config("gamma")
@@ -239,15 +263,6 @@ def test_sample_scaled_process_binomial_cardinality():
         sample_scaled_process("gamma", KAPPA, 40, RngSeed(3, 0))
 
 
-def test_expectation_convergence_degenerate_binomial():
-    rows = expectation_convergence("binomial", KAPPA, (0.0, 0.0), 0, (50, 100), 50, RngSeed(5, 0))
-    assert [row["n"] for row in rows] == [50, 100]
-    for row in rows:
-        assert row["mean"] == 1.0
-        assert row["se"] == 0.0
-    assert math.isnan(rows[0]["delta"]) and rows[1]["delta"] == 0.0
-
-
 def test_depoissonization_degenerate():
     alpha = AlphaEstimate(0.0, 0.0, 0, 1.0, 0.0, 3.0, 0.0)
     out = depoissonization_check(50, 0.0, 0.0, 0, KAPPA, reps=60, seed=RngSeed(6, 0), alpha=alpha)
@@ -258,12 +273,6 @@ def test_depoissonization_degenerate():
 
 
 # a standard error needs two replicates
-def test_expectation_convergence_needs_two_replicates():
-    for reps in (0, 1):
-        with pytest.raises(DomainError):
-            expectation_convergence("binomial", KAPPA, (0.0, 0.0), 0, [50], reps=reps, seed=RngSeed(5, 0))
-
-
 def test_depoissonization_needs_two_replicates():
     alpha = AlphaEstimate(0.0, 0.0, 0, 1.0, 0.0, 3.0, 0.0)
     for reps in (0, 1):

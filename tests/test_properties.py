@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslab.filtration import build
-from pslab.persistence import RankQuery, _facet_ranks, boundary_masks, persistent_betti_direct_all, reduce
+from pslab.persistence import RankQuery, boundary_masks, persistent_betti_direct_all, reduce
 from pslab.point_process import Box, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
 
 # a coordinate is uniform or on a coarse grid, so that ties and repeated
@@ -87,14 +87,19 @@ CAPS = [("rips", 0.3), ("rips", 0.6), ("rips", 1.5), ("cech", 0.15), ("cech", 0.
 
 
 # a power of two scales every coordinate, distance and radius without rounding;
-# the example is a triangle whose two long sides differ by about 1e-9, where a
-# miniball tolerance with an absolute part chose another ball after scaling
+# the first example is a triangle whose two long sides differ by about 1e-9,
+# where a miniball tolerance with an absolute part chose another ball after
+# scaling; in the second the squared length underflowed and lost bits, so the
+# halved cloud's death was not half the death; in the third the length, 5e-324,
+# has no exact Cech half
 @settings(max_examples=100, deadline=None)
 @given(clouds, st.sampled_from(CAPS), st.integers(1, 3), st.sampled_from([-1, 1, 3]))
 @example(
     PointCloud(np.array([[0.0, 0.0], [0.125, 0.5], [0.0, 1.1853451761172743e-09], [0.0, 0.0]]), unit_box(2)),
     ("cech", 0.3), 3, 1,
 )
+@example(PointCloud(np.array([[0.0, 0.0], [0.0, 7.644556442455896e-156]]), unit_box(2)), ("rips", 0.3), 1, -1)
+@example(PointCloud(np.array([[0.0, 0.0], [0.0, 5e-324]]), unit_box(2)), ("cech", 0.15), 1, 1)
 def test_scaling_the_cloud_scales_the_diagram_exactly(P, cap, q_max, k):
     kind, r_max = cap
     a = 2.0**k
@@ -164,16 +169,18 @@ def _reference_facet_ranks(C, top):
 
 
 def _assert_facet_ranks_match_reference(C):
+    """The stored arrays are the reference's: each dimension's positions,
+    rows and facet ranks, in the stored order."""
+    S = C.verts
     top = int(C.dims.max(initial=0))
-    cells, facets = _facet_ranks(C, top)
     ref_cells, ref_rows, ref_facets = _reference_facet_ranks(C, top)
-    # the stored rows in rank order: a dimension's positions ascend with rank
-    rows = [C.verts.rows[k][np.argsort(C.verts.positions[k])] for k in range(top + 1)]
-    for got, want in ((cells, ref_cells), (rows, ref_rows), (facets[1:], ref_facets[1:])):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    return cells, facets
+    assert all(len(at) == 0 for at in S.positions[top + 1:])
+    got = [*S.positions[:top + 1], *S.rows[:top + 1], *S.facets[1:top + 1]]
+    want = [*ref_cells, *ref_rows, *ref_facets[1:]]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return S.positions, S.facets
 
 
 # besides `CAPS`, Rips 1.5 and Cech 1.0 hold every simplex of a planar cloud
