@@ -158,16 +158,15 @@ def _cmd_alpha(cfg: dict, seed: RngSeed, out: str):
 
 
 def _cmd_clt(cfg: dict, seed: RngSeed, out: str):
+    # run_clt works out its complex's caps: "r_max" and "q_max" are not read
     config = CltConfig(
         process=cfg["process"],
         density=density_from_json(cfg["density"]),
         kind=cfg.get("kind", "rips"),
-        q=int(cfg["q"]),
-        pairs=cfg["pairs"],
+        queries=[RankQuery(int(cfg["q"]), float(r), float(s)) for r, s in cfg["pairs"]],
         n_grid=cfg["n_grid"],
         replicates=int(cfg["replicates"]),
         seed=seed,
-        r_max=float(cfg["r_max"]),
     )
     result = run_clt(config)
     _write(out, "replicates.csv", replicates_csv(result))

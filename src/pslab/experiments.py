@@ -124,21 +124,6 @@ def sample_scaled_process(process: str, density: Density, n: int, seed: RngSeed)
     return unit.scale(n ** (1.0 / d)) if n > 0 else unit
 
 
-def _replicate_betas(
-    process: str, density: Density, kind: str, q: int, pairs, n: int, reps: int, base: RngSeed, r_max: float
-) -> np.ndarray:
-    """beta_q^{r,s} of n^{1/d} S_n for each pair (columns) and replicate i, drawn
-    from base.derive(i) (rows), each row from one complex built at (r_max, q + 1):
-    the CLT sampler of `run_clt`."""
-    queries = [RankQuery(q, r, s) for r, s in pairs]
-    rows = []
-    for rep in range(reps):
-        P = sample_scaled_process(process, density, n, base.derive(rep))
-        D = reduce(build(P, kind, r_max=r_max, q_max=q + 1))
-        rows.append([D.persistent_betti(query) for query in queries])
-    return np.array(rows, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Alpha
 # ---------------------------------------------------------------------------
@@ -211,24 +196,18 @@ class CltConfig:
     process: str
     density: Density
     kind: str
-    q: int
-    pairs: tuple
+    queries: tuple  # of RankQuery
     n_grid: tuple
     replicates: int
     seed: RngSeed
-    r_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((float(r), float(s)) for r, s in self.pairs))
+        object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.process not in ("poisson", "binomial"):
             raise DomainError(f"unknown process {self.process!r}")
-        if any(r > s for r, s in self.pairs):
-            raise DomainError("every pair needs r <= s")
-        if not self.pairs:
-            raise DomainError("at least one (r,s) pair required")
-        if self.r_max < max(s for _, s in self.pairs):
-            raise DomainError("r_max cap below the largest s")
+        if not self.queries:
+            raise DomainError("at least one rank query required")
         if self.replicates < 50:
             raise DomainError("at least 50 replicates required")
         if list(self.n_grid) != sorted(set(self.n_grid)) or min(self.n_grid, default=0) <= 0:
@@ -250,13 +229,22 @@ class CltResult:
 
 
 def run_clt(config: CltConfig) -> CltResult:
-    l = len(config.pairs)
+    """beta_q^{r,s} of n^{1/d} S_n for each query (columns) and replicate i
+    (rows), replicate i drawn from config.seed.derive(n_idx).derive(i).  Each
+    replicate's complex is built once, at the largest s and one degree above
+    the largest q, and answers every query."""
+    l = len(config.queries)
+    r_max = max(query.s for query in config.queries)
+    q_max = max(query.q for query in config.queries) + 1
     per_n: dict[int, CltPerN] = {}
     for n_idx, n in enumerate(config.n_grid):
-        betas = _replicate_betas(
-            config.process, config.density, config.kind, config.q, config.pairs, n, config.replicates,
-            config.seed.derive(n_idx), config.r_max,
-        )
+        base = config.seed.derive(n_idx)
+        rows = []
+        for rep in range(config.replicates):
+            P = sample_scaled_process(config.process, config.density, n, base.derive(rep))
+            D = reduce(build(P, config.kind, r_max=r_max, q_max=q_max))
+            rows.append([D.persistent_betti(query) for query in config.queries])
+        betas = np.array(rows, dtype=float)
         std = (betas - betas.mean(axis=0)) / math.sqrt(n)
         cov = (std.T @ std) / (config.replicates - 1)
         cov = (cov + cov.T) / 2.0
@@ -300,23 +288,24 @@ def _jackknife_cov_se(std: np.ndarray) -> np.ndarray:
     return np.sqrt((r - 1) / r * ((thetas - bar) ** 2).sum(axis=0))
 
 
-def _check_alpha(alpha: AlphaEstimate, q: int, r: float, s: float) -> None:
-    """Rejects an alpha estimated at another (q, r, s) than the one judged."""
-    if (alpha.q, alpha.r, alpha.s) != (q, r, s):
-        raise DomainError(f"alpha at (q, r, s) = {(alpha.q, alpha.r, alpha.s)} does not match {(q, r, s)}")
+def _check_alpha(alpha: AlphaEstimate, query: RankQuery) -> None:
+    """Rejects an alpha estimated at another (q, r, s) than the query judged."""
+    got, want = (alpha.q, alpha.r, alpha.s), (query.q, query.r, query.s)
+    if got != want:
+        raise DomainError(f"alpha at (q, r, s) = {got} does not match {want}")
 
 
 def variance_relation_check(poisson: CltResult, binomial: CltResult, alphas: list) -> dict:
     """Check Sigma_bin == Sigma_poi - alpha alpha^T entrywise at 3 SE.
-    The runs must share their kind, q and pairs, and alphas[i] must be the
-    estimate at (q, pairs[i])."""
+    The runs must share their kind and queries, and alphas[i] must be the
+    estimate at queries[i]."""
     cp, cb = poisson.config, binomial.config
-    if (cp.kind, cp.q, cp.pairs) != (cb.kind, cb.q, cb.pairs):
-        raise DomainError("kind, q and pair lists must match between the two runs")
-    if len(alphas) != len(cp.pairs):
-        raise DomainError("one alpha estimate per pair required")
-    for al, (r, s) in zip(alphas, cp.pairs):
-        _check_alpha(al, cp.q, r, s)
+    if (cp.kind, cp.queries) != (cb.kind, cb.queries):
+        raise DomainError("kind and rank queries must match between the two runs")
+    if len(alphas) != len(cp.queries):
+        raise DomainError("one alpha estimate per rank query required")
+    for al, query in zip(alphas, cp.queries):
+        _check_alpha(al, query)
     n = max(set(poisson.per_n) & set(binomial.per_n))
     sp, sb = poisson.per_n[n], binomial.per_n[n]
     a = np.array([al.value for al in alphas])
@@ -366,7 +355,7 @@ def depoissonization_check(
             r, s, q, density, window_radius=max(3.0, 3.0 * mu(kind, s)),
             reps=min(reps, 2000), seed=seed.derive(10**6), kind=kind,
         )
-    _check_alpha(alpha, q, r, s)
+    _check_alpha(alpha, RankQuery(q, r, s))
     scale = n ** (1.0 / density.d)
 
     def one(rep: int):
@@ -437,8 +426,10 @@ def radius_tail_experiment(
         raise DomainError("radius tails need at least one replicate")
     check_degrees(q_list, d)
     L_grid = sorted(float(L) for L in L_grid)
+    if not all(map(math.isfinite, L_grid)):
+        raise DomainError("every L in the L grid must be finite")
     max_r = max(float(r) for r in r_grid)
-    if window < max(L_grid) + 2.0 * mu(kind, max_r):
+    if not window >= max(L_grid) + 2.0 * mu(kind, max_r):
         raise DomainError("window below max L + 2 mu(max r)")
     box = Box((-window,) * d, (window,) * d)
     origin = np.zeros((1, d))

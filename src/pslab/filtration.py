@@ -69,14 +69,21 @@ def _circumballs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on their boundary (X of shape (m, k, d), k >= 2, each X[i] affinely
     small).  One stacked call of the gufunc behind numpy's `lstsq`, with its
     default rcond and its error rule, so every center is bit-identical to a
-    per-matrix `lstsq` solve."""
+    per-matrix `lstsq` solve.
+
+    As in `_norms`, a simplex whose edge vectors' squares could underflow (all
+    entries below 2^-480) is solved scaled by 2^600, exactly, and scaled back,
+    so its center scales exactly with a cloud scaled by a power of two."""
     p0 = X[:, 0]
     D = X[:, 1:] - p0[:, None, :]
+    small = np.abs(D).max(axis=(1, 2)) < 2.0**-480
+    D[small] *= 2.0**600
     A = 2.0 * D
     b = np.einsum("mij,mij->mi", D, D)
     rcond = np.finfo(float).eps * max(A.shape[1:])
     with np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore", under="ignore"):
         sol = _gelsd(A, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+    sol[small] *= 2.0**-600
     c = p0 + sol
     return c, _norms(X - c[:, None, :]).max(axis=1)
 

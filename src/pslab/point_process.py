@@ -208,9 +208,10 @@ class Density:
     evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.inf_bound <= 0:
+        # written as negations so that a NaN bound fails them
+        if not self.inf_bound > 0:
             raise DomainError("density must be bounded away from zero")
-        if self.sup_bound < self.inf_bound:
+        if not self.sup_bound >= self.inf_bound:
             raise DomainError("sup_bound below inf_bound")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -243,10 +244,11 @@ class BlockedDensity:
             raise DomainError("grid resolution must be positive")
         if len(self.weights) != self.m**self.d:
             raise DomainError("need one weight per grid cell")
-        if any(w <= 0 for w in self.weights):
+        # written as negations so that a NaN weight fails them
+        if not all(w > 0 for w in self.weights):
             raise DomainError("blocked density weights must be positive")
         total = sum(self.weights) * self.m ** (-self.d)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise DomainError(f"blocked density does not integrate to 1 (got {total})")
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
@@ -282,7 +284,7 @@ def density_from_json(obj: dict) -> Density:
 
 def sample_poisson_homogeneous(lam: float, box: Box, seed: RngSeed) -> PointCloud:
     """Homogeneous Poisson process of intensity lam on a box."""
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError("intensity must be nonnegative")
     if box.volume <= 0:
         raise DomainError("box must have positive volume")

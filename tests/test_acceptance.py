@@ -123,23 +123,21 @@ def test_criterion_4_stabilization_domination():
     _report(4, ok, f"{violations} violations, {censored}/{reps} censored")
 
 
-def _clt_cfg(process, pairs, n_grid, reps, q, r_max, seed):
+def _clt_cfg(process, pairs, n_grid, reps, q, seed):
     return CltConfig(
         process=process,
         density=KAPPA,
         kind="rips",
-        q=q,
-        pairs=pairs,
+        queries=[RankQuery(q, r, s) for r, s in pairs],
         n_grid=n_grid,
         replicates=reps,
         seed=RngSeed(seed, 0),
-        r_max=r_max,
     )
 
 
 def test_criterion_5_degenerate_chain():
-    poi = run_clt(_clt_cfg("poisson", ((0.0, 0.0),), (500,), 500, 0, 0.0, 105))
-    binom = run_clt(_clt_cfg("binomial", ((0.0, 0.0),), (500,), 500, 0, 0.0, 105))
+    poi = run_clt(_clt_cfg("poisson", ((0.0, 0.0),), (500,), 500, 0, 105))
+    binom = run_clt(_clt_cfg("binomial", ((0.0, 0.0),), (500,), 500, 0, 105))
     alpha = estimate_alpha(0.0, 0.0, 0, KAPPA, window_radius=3.0, reps=500, seed=RngSeed(105, 7))
     var_poi = float(poi.per_n[500].covariance[0, 0])
     var_bin = float(binom.per_n[500].betas.var(ddof=1))
@@ -159,7 +157,7 @@ def test_criterion_5_degenerate_chain():
     )
 
 
-def _clt_desk_scale(pair, r_max):
+def _clt_desk_scale(pair):
     """Criterion 6 at one Rips pair for q = 1: the verdict and its detail line.
 
     A pair whose sample variance is zero (or whose scores are NaN) at some n
@@ -169,7 +167,7 @@ def _clt_desk_scale(pair, r_max):
     counts); skewness and kurtosis are scored on the raw sample.
     """
     n_grid = (250, 500, 1000)
-    result = run_clt(_clt_cfg("poisson", (pair,), n_grid, 500, 1, r_max, 106))
+    result = run_clt(_clt_cfg("poisson", (pair,), n_grid, 500, 1, 106))
     variances = {n: float(result.per_n[n].covariance[0, 0]) for n in n_grid}
     spread = " -> ".join(f"{variances[n]:.3g}" for n in n_grid)
     # run_clt sets all four scores to NaN together when it cannot score a sample
@@ -201,12 +199,12 @@ def test_criterion_6_clt_desk_scale():
     # intensity Gilbert graph in d = 2 under the diameter convention, and
     # beta_1 there has mean about 27 and standard deviation about 4 at
     # n = 1000, far from a rare-event count
-    _report(6, *_clt_desk_scale((1.5, 2.0), r_max=2.0))
+    _report(6, *_clt_desk_scale((1.5, 2.0)))
 
 
 def test_criterion_7_variance_relation():
-    poi = run_clt(_clt_cfg("poisson", ((0.5, 0.7),), (250, 500, 1000), 1000, 1, 0.7, 107))
-    binom = run_clt(_clt_cfg("binomial", ((0.5, 0.7),), (250, 500, 1000), 1000, 1, 0.7, 107))
+    poi = run_clt(_clt_cfg("poisson", ((0.5, 0.7),), (250, 500, 1000), 1000, 1, 107))
+    binom = run_clt(_clt_cfg("binomial", ((0.5, 0.7),), (250, 500, 1000), 1000, 1, 107))
     alpha = estimate_alpha(0.5, 0.7, 1, KAPPA, window_radius=4.0, reps=400, seed=RngSeed(107, 9))
     out = variance_relation_check(poi, binom, [alpha])
     entry = out["entries"][0]
@@ -273,14 +271,15 @@ def test_criterion_10_determinism(tmp_path):
     # replicate i is a function of its derived seed alone: recomputing
     # replicates out of order, on their own, gives the rows of the full run
     rows_equal = True
-    cfg_deg = _clt_cfg("poisson", ((0.0, 0.0),), (100,), 60, 0, 0.0, 110)
-    cfg_clt = _clt_cfg("poisson", ((0.5, 0.7),), (100,), 50, 1, 0.7, 110)
+    cfg_deg = _clt_cfg("poisson", ((0.0, 0.0),), (100,), 60, 0, 110)
+    cfg_clt = _clt_cfg("poisson", ((0.5, 0.7),), (100,), 50, 1, 110)
     for cfg in (cfg_deg, cfg_clt):
         betas = run_clt(cfg).per_n[100].betas
         for rep in (49, 25, 0):
             P = sample_scaled_process(cfg.process, cfg.density, 100, cfg.seed.derive(0).derive(rep))
-            D = reduce(build(P, cfg.kind, cfg.r_max, cfg.q + 1))
-            row = [persistent_betti(D, RankQuery(cfg.q, r, s)) for r, s in cfg.pairs]
+            row = [
+                persistent_betti(reduce(build(P, cfg.kind, query.s, query.q + 1)), query) for query in cfg.queries
+            ]
             rows_equal &= betas[rep].tolist() == row
     # and the CLI's output bytes do not depend on the interpreter: a fresh one
     # with another hash seed writes the same files as this one

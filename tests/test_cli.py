@@ -114,7 +114,7 @@ def test_negative_degree_and_nan_radii_are_config_errors(tmp_path):
     for i, query in enumerate(([-1, 1.0, 1.2], [1, math.nan, 1.2])):
         cfg = _square_persist_cfg(tmp_path, queries=[query])
         assert main(["persist", "--config", cfg, "--out", str(tmp_path / f"persist_{i}")]) == 2
-    cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "n_grid": [30], "replicates": 50, "r_max": math.nan})
+    cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "n_grid": [30], "replicates": 50, "pairs": [[0.0, math.nan]]})
     assert main(["clt", "--config", cfg, "--out", str(tmp_path / "clt")]) == 2
 
 
@@ -264,6 +264,19 @@ def test_clt_threads_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_clt_reads_no_caps_from_the_config(tmp_path):
+    # run_clt works out its complex's caps from the queries, so "r_max" and
+    # "q_max", which older configs carry, move no output byte
+    caps = {"r_max": 0.7, "q_max": 2}
+    plain = {k: v for k, v in CLT_DEGENERATE.items() if k not in caps}
+    plain.update(q=1, pairs=[[0.3, 0.4], [0.5, 0.7]], n_grid=[30], replicates=50)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["clt", "--config", _cfg(tmp_path, "a.json", plain), "--out", str(a)]) == 0
+    assert main(["clt", "--config", _cfg(tmp_path, "b.json", {**plain, **caps}), "--out", str(b)]) == 0
+    for name in ("replicates.csv", "covariance.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 # -- tails and report ----------------------------------------------------------
 
 
@@ -300,6 +313,31 @@ def test_tails_degree_at_d_is_config_error(tmp_path, capsys):
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "homology degrees" in err and "Traceback" not in err
+
+
+_TAILS_GRID = {"lambda_grid": [1.0], "r_grid": [0.5], "q_list": [0], "L_grid": [0.5, 1.0], "reps": 2, "window": 3.0}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("sample", {"process": "binomial", "n": 5,
+                    "density": {"kind": "blocked", "d": 2, "m": 2, "weights": [math.nan, 1, 1, 1]}},
+         "blocked density weights must be positive"),
+        ("tails", {**_TAILS_GRID, "L_grid": [0.5, math.nan]}, "every L in the L grid must be finite"),
+        ("tails", {**_TAILS_GRID, "window": math.nan}, "window below max L"),
+    ],
+    ids=["density-weight", "tails-L", "tails-window"],
+)
+def test_nan_in_a_config_is_named_as_a_config_error(tmp_path, capsys, command, payload, message):
+    # the configs are written with json's NaN, which json.load reads back;
+    # before, a NaN weight passed every check and the sampler blamed its
+    # sup_bound, a NaN L was written to tails.csv with exit 0, and a NaN
+    # window was reported as a bad intensity
+    cfg = _cfg(tmp_path, f"{command}.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_report_round_trip_byte_identical(tmp_path):

@@ -176,17 +176,15 @@ def test_alpha_needs_two_replicates():
 # -- CLT harness --------------------------------------------------------------
 
 
-def _clt_config(process, pairs=((0.0, 0.0),), n_grid=(100,), reps=400, q=0, r_max=0.0, seed=31):
+def _clt_config(process, pairs=((0.0, 0.0),), n_grid=(100,), reps=400, q=0, seed=31):
     return CltConfig(
         process=process,
         density=KAPPA,
         kind="rips",
-        q=q,
-        pairs=pairs,
+        queries=[RankQuery(q, r, s) for r, s in pairs],
         n_grid=n_grid,
         replicates=reps,
         seed=RngSeed(seed, 0),
-        r_max=r_max,
     )
 
 
@@ -239,15 +237,28 @@ def test_judges_reject_runs_and_alphas_of_another_degree_kind_or_pair():
             depoissonization_check(50, 0.0, 0.0, 0, KAPPA, reps=60, seed=RngSeed(6, 0), alpha=wrong)
 
 
+def test_clt_mixed_degrees_match_one_complex_per_query():
+    # run_clt builds each replicate once, at the largest s and one degree
+    # above the largest q; each count must be the one of that query's own
+    # complex at (s, q + 1), for replicates recomputed alone
+    # (Cech radii are half the Rips diameters: the same edges, the same beta_0)
+    for kind, scale in (("rips", 1.0), ("cech", 0.5)):
+        queries = [RankQuery(q, scale * r, scale * s) for q, r, s in ((0, 0.8, 1.0), (1, 1.2, 1.5), (0, 1.0, 1.3))]
+        cfg = CltConfig("poisson", KAPPA, kind, queries, (200,), 50, RngSeed(41, 0))
+        betas = run_clt(cfg).per_n[200].betas
+        assert np.all(betas.sum(axis=0) > 0)
+        for rep in (49, 17, 0):
+            P = sample_scaled_process(cfg.process, cfg.density, 200, cfg.seed.derive(0).derive(rep))
+            assert betas[rep].tolist() == [reduce(build(P, kind, qr.s, qr.q + 1)).persistent_betti(qr) for qr in queries]
+
+
 def test_clt_config_validation():
     with pytest.raises(DomainError):
         _clt_config("gamma")
     with pytest.raises(DomainError):
-        _clt_config("poisson", pairs=((0.5, 0.4),), r_max=0.5)
+        _clt_config("poisson", pairs=((0.5, 0.4),))
     with pytest.raises(DomainError):
         _clt_config("poisson", pairs=())
-    with pytest.raises(DomainError):
-        _clt_config("poisson", pairs=((0.3, 0.6),), r_max=0.5)
     with pytest.raises(DomainError):
         _clt_config("poisson", reps=49)
     with pytest.raises(DomainError):

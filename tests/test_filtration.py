@@ -224,11 +224,13 @@ def _reference_norm(v):
 
 
 def _reference_circumball(R):
+    """`np.linalg.lstsq`'s circumcenter, but edge vectors all below 2^-480 are
+    solved after an exact 2^600 rescale: the rule of `_circumballs`."""
     p0 = R[0]
-    A = 2.0 * (np.asarray(R[1:]) - p0)
-    b = np.einsum("ij,ij->i", np.asarray(R[1:]) - p0, np.asarray(R[1:]) - p0)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    c = p0 + sol
+    D = np.asarray(R[1:]) - p0
+    scale = 2.0**600 if np.abs(D).max() < 2.0**-480 else 1.0
+    sol, *_ = np.linalg.lstsq(2.0 * (D * scale), np.einsum("ij,ij->i", D * scale, D * scale), rcond=None)
+    c = p0 + sol / scale
     return c, max(_reference_norm(p - c) for p in R)
 
 
@@ -322,11 +324,17 @@ def test_circumballs_raise_when_the_svd_does_not_converge(capfd):
 _coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda i: i / 4.0))
 
 
-# the example is an edge whose half length, 4.5e-268, has a square that
-# underflows to 0
+# the first example is an edge whose half length, 4.5e-268, has a square that
+# underflows to 0; the second an acute triangle of sides about 4e-159, whose
+# circumball is solved rescaled
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=9))
 @example([(0.0, 0.0), (0.0, 0.0), (0.0, 8.963507348641878e-268)])
+@example([
+    (1.8774763981087022e-159, 5.796738432291163e-159),
+    (5.272655138983638e-159, 5.349396720566526e-159),
+    (3.6263689107269426e-159, 1.7348156799167418e-159),
+])
 def test_triangle_balls_match_the_per_triangle_miniball_on_small_clouds(rows):
     pts = np.array(rows, dtype=float)
     _assert_triangle_balls_exact(pts[list(itertools.combinations(range(len(pts)), 3))])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,8 +29,9 @@ def test_poisson_zero_intensity_is_empty():
 
 
 def test_poisson_negative_intensity_rejected():
-    with pytest.raises(DomainError):
-        sample_poisson_homogeneous(-1.0, unit_box(2), RngSeed(1, 0))
+    for lam in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="intensity must be nonnegative"):
+            sample_poisson_homogeneous(lam, unit_box(2), RngSeed(1, 0))
 
 
 def test_poisson_mean_count():
@@ -235,6 +237,14 @@ def test_density_evaluator_must_be_row_wise():
 def test_blocked_normalization_enforced():
     with pytest.raises(DomainError):
         BlockedDensity(2, 2, (1.0, 1.0, 1.0, 2.0))
+
+
+def test_nan_bounds_are_rejected():
+    # every comparison with NaN is False, so the checks are negations
+    with pytest.raises(DomainError, match="sup_bound below inf_bound"):
+        Density(2, math.nan, 1.0, lambda x: np.ones(x.shape[0]))
+    with pytest.raises(DomainError, match="bounded away from zero"):
+        Density(2, 1.0, math.nan, lambda x: np.ones(x.shape[0]))
 
 
 def test_swap_self_identity():

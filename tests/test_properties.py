@@ -17,6 +17,12 @@ coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda i: i / 
 clouds = st.lists(st.tuples(coordinate, coordinate), max_size=12).map(
     lambda rows: PointCloud(np.array(rows, dtype=float).reshape(-1, 2), unit_box(2))
 )
+small_clouds = st.lists(st.tuples(coordinate, coordinate), max_size=7).map(
+    lambda rows: PointCloud(np.array(rows, dtype=float).reshape(-1, 2), unit_box(2))
+)
+small_clouds_3d = st.lists(st.tuples(coordinate, coordinate, coordinate), max_size=6).map(
+    lambda rows: PointCloud(np.array(rows, dtype=float).reshape(-1, 3), unit_box(3))
+)
 clouds_3d = st.lists(st.tuples(coordinate, coordinate, coordinate), max_size=9).map(
     lambda rows: PointCloud(np.array(rows, dtype=float).reshape(-1, 3), unit_box(3))
 )
@@ -91,7 +97,9 @@ CAPS = [("rips", 0.3), ("rips", 0.6), ("rips", 1.5), ("cech", 0.15), ("cech", 0.
 # where a miniball tolerance with an absolute part chose another ball after
 # scaling; in the second the squared length underflowed and lost bits, so the
 # halved cloud's death was not half the death; in the third the length, 5e-324,
-# has no exact Cech half
+# has no exact Cech half; in the fourth, a triangle of sides about 4e-159,
+# the squared edge vectors of its circumball solve underflowed, and the
+# halved triangle did not enter at half the time
 @settings(max_examples=100, deadline=None)
 @given(clouds, st.sampled_from(CAPS), st.integers(1, 3), st.sampled_from([-1, 1, 3]))
 @example(
@@ -100,12 +108,47 @@ CAPS = [("rips", 0.3), ("rips", 0.6), ("rips", 1.5), ("cech", 0.15), ("cech", 0.
 )
 @example(PointCloud(np.array([[0.0, 0.0], [0.0, 7.644556442455896e-156]]), unit_box(2)), ("rips", 0.3), 1, -1)
 @example(PointCloud(np.array([[0.0, 0.0], [0.0, 5e-324]]), unit_box(2)), ("cech", 0.15), 1, 1)
+@example(
+    PointCloud(
+        np.array([
+            [1.8774763981087022e-159, 5.796738432291163e-159],
+            [5.272655138983638e-159, 5.349396720566526e-159],
+            [3.6263689107269426e-159, 1.7348156799167418e-159],
+        ]),
+        unit_box(2),
+    ),
+    ("cech", 0.3), 2, -1,
+)
 def test_scaling_the_cloud_scales_the_diagram_exactly(P, cap, q_max, k):
     kind, r_max = cap
     a = 2.0**k
     D = reduce(build(P, kind, r_max, q_max))
     scaled = reduce(build(P.scale(a), kind, a * r_max, q_max))
     assert _triples(scaled) == [(q, a * b, a * d) for q, b, d in _triples(D)]
+
+
+# what run_clt rests on: beta_q^{r,s} read off a complex built at any caps
+# R >= s and Q >= q + 1 is the one read off the complex built at (s, q + 1),
+# for every (q, r, s) on the grid of the larger complex's entry times.  The
+# one exception is s = 0 on a cloud with an edge of length 0 (coincident
+# points): `build` at r_max = 0 holds the vertices alone, and so leaves out
+# an edge that enters at time 0 in the larger complex
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_clouds, small_clouds_3d), st.sampled_from(CAPS), st.integers(1, 3))
+def test_betti_at_larger_caps_is_betti_at_s_and_q_plus_one(P, cap, q_max):
+    kind, r_max = cap
+    C = build(P, kind, r_max, q_max)
+    D = reduce(C)
+    grid = sorted({0.0, r_max, *C.times.tolist()})
+    zero_edge = bool(np.any((C.dims == 1) & (C.times == 0.0)))
+    for q in range(q_max):
+        for j, s in enumerate(grid):
+            if s == 0.0 and zero_edge:
+                continue
+            own = reduce(build(P, kind, s, q + 1))
+            for r in grid[: j + 1]:
+                query = RankQuery(q, r, s)
+                assert D.persistent_betti(query) == own.persistent_betti(query)
 
 
 def _cut_below(D, t):
