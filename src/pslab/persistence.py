@@ -201,7 +201,7 @@ def reduce(C: FilteredComplex) -> PersistenceDiagram:
 def _elder_pairs(F: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
     """Dimension-0 pairs of the m vertices and the edges with facet ranks F,
     as (vertex ranks, edge ranks): the edges of the minimum spanning tree by
-    rank, walked in rank order, each killing the younger root."""
+    rank, taken in rank order, each killing the younger root."""
     # the graph as CSR, a row per edge's first vertex; edge i weighs i + 1
     # (csgraph reads a zero weight as no edge), so the weights are distinct,
     # the tree is unique, and its weights minus 1 are its edges' ranks

@@ -72,8 +72,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise DomainError("box corners must share dimension")
-        if any(h < l for l, h in zip(self.lo, self.hi)):
-            raise DomainError("box upper corner below lower corner")
+        if not all(l <= h for l, h in zip(self.lo, self.hi)):
+            raise DomainError(f"box corners must be numbers with lo <= hi, not {self.lo} and {self.hi}")
 
     @property
     def d(self) -> int:

@@ -6,8 +6,9 @@ exact.  One walk over the cells in ball order reduces each boundary column
 once: the columns without the added points Q form one echelon, and those
 through Q a residue modulo its span, whose size and lows are the rank and
 pivot differences the trace counts (`_Residue`).  The boundary matrix is
-block-diagonal over the components of the edge graph, so the walk skips the
-components without a point of Q (`_joined`).  The strong radius is bounded
+block-diagonal over the components of the edge graph, so the layer cuts
+P u Q to the components that hold a point of Q before it builds
+(`_joined`), and nothing else is built.  The strong radius is bounded
 from above by a cluster-locality horizon: the first probe radius at which
 every cluster of the mu(r)-graph that holds a new simplex lies well inside the
 probe ball.  It is finite only below percolation; the exact stopping-time
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import build, mu, restrict
+from .filtration import build, close_pairs, mu, restrict
 # boundary_masks is unused here; perfbench/tracer.py patches this attribute
 from .persistence import Echelon, RankQuery, boundary_masks, reduce  # noqa: F401
 from .point_process import (
@@ -207,40 +208,28 @@ class _Residue:
 
 
 class _GlobalComplex:
-    """One complex on P u Q with per-cell ball radii; restrictions are prefixes
-    in the (ball radius) filter while keeping the stored (time, dim) order.
-
-    The boundary matrix is block-diagonal over the components of the edge
-    graph, and a block with no cell through Q adds nothing to a `_Residue`'s
-    size or lows.  So only the cells on vertices joined to Q by edges are
-    `walked`, and only they get a boundary column in `masks`."""
+    """The complex on Q's clusters in P u Q, with per-cell ball radii;
+    restrictions are prefixes in the (ball radius) filter while keeping the
+    stored (time, dim) order.  A block of the boundary matrix (a component
+    of the edge graph) with no cell through Q adds nothing to a `_Residue`
+    or a horizon, so `build` runs on the points that edges of length up to
+    mu(r_max) join to Q (`_joined`), in their order, P's n_P first; a simplex
+    on them keeps its time and place.  `dist` holds their distances from z,
+    `point_dist` every point's."""
 
     def __init__(self, P: PointCloud, Q: np.ndarray, z: np.ndarray, kind: str, r_max: float, q_max: int):
         pts = np.vstack([P.points, Q]) if P.n else Q
-        merged = PointCloud(pts, P.window)
-        C = self.C = build(merged, kind, r_max=r_max, q_max=q_max)
-        S = C.verts
-        dist = np.linalg.norm(pts - z, axis=1)
-        self.point_dist = dist
-        joined = _joined(len(pts), S.rows[1], np.arange(P.n, len(pts)))
-        # a k-cell's boundary is an int over its stored facets, their ranks
-        # among the (k-1)-cells, as in `reduce`; vertex rows are ascending, so
-        # the last column holds each cell's largest index
+        self.point_dist = np.linalg.norm(pts - z, axis=1)
+        kept = _joined(len(pts), close_pairs(pts, mu(kind, r_max))[0], np.arange(P.n, len(pts)))
+        self.n_P = int(kept[: P.n].sum())
+        self.dist = self.point_dist[kept]
+        C = self.C = build(PointCloud(pts[kept], P.window), kind, r_max=r_max, q_max=q_max)
+        # vertex rows are ascending, so a cell through Q ends in Q's ids
         self.cell_ball = np.zeros(C.n_cells)
         self.cell_uses_q = np.zeros(C.n_cells, dtype=bool)
-        self.walked = np.zeros(C.n_cells, dtype=bool)
-        for rows, at in zip(S.rows, S.positions):
-            self.cell_ball[at] = dist[rows].max(axis=1)
-            self.cell_uses_q[at] = rows[:, -1] >= P.n
-            self.walked[at] = joined[rows[:, 0]]
-        self.masks = {}
-        for cells, facets_k in zip(S.positions[1:], S.facets[1:]):
-            walked = self.walked[cells]
-            for i, row in zip(cells[walked].tolist(), facets_k[walked].tolist()):
-                m = 0
-                for f in row:
-                    m |= 1 << f
-                self.masks[i] = m
+        for rows, at in zip(C.verts.rows, C.verts.positions):
+            self.cell_ball[at] = self.dist[rows].max(axis=1)
+            self.cell_uses_q[at] = rows[:, -1] >= self.n_P
 
     def differences(self, radii: np.ndarray, r: float, d: int):
         """D1 and D2 for q < d: dim Z_q(K_r) and dim(Z_q(K_r) ^ B_q(K_s)) on
@@ -259,12 +248,20 @@ class _GlobalComplex:
         is the q-cells through Q born by r minus the residue of d_q, and D2
         the residue lows of d_{q+1} below early[q].  The column sets only
         grow with a, and all of these depend on the sets alone, so one walk
-        in ball order over the walked cells reduces each of them once.
+        in ball order over the cells reduces each of them once.
         """
-        C, masks = self.C, self.masks
-        early = [int((C.times[cells] <= r).sum()) for cells in C.verts.positions]
-        walked = np.flatnonzero(self.walked)
-        order = walked[np.argsort(self.cell_ball[walked], kind="stable")]
+        C, S = self.C, self.C.verts
+        # a k-cell's boundary is an int over its stored facets, their ranks
+        # among the (k-1)-cells, as in `reduce`
+        masks = [0] * C.n_cells
+        for cells, facets_k in zip(S.positions[1:], S.facets[1:]):
+            for i, row in zip(cells.tolist(), facets_k.tolist()):
+                m = 0
+                for f in row:
+                    m |= 1 << f
+                masks[i] = m
+        early = [int((C.times[cells] <= r).sum()) for cells in S.positions]
+        order = np.argsort(self.cell_ball, kind="stable")
         stops = np.searchsorted(self.cell_ball[order], radii, side="right")
         # residues of d_q on the cells born by r for q >= 1, and of d_{q+1};
         # with every cell born by r (r = s), the first is d_q's, whose lows
@@ -273,7 +270,7 @@ class _GlobalComplex:
         born = None if shared else [_Residue() for _ in range(d)]
         alive = [_Residue() for _ in range(d)]
         any_low = C.n_cells
-        # D1's counts, then D2's, after each walked cell: one flat list
+        # D1's counts, then D2's, after each cell: one flat list
         # holding a row before the first cell and one after each
         tally = [0] * (2 * d)
         counts = tally[:]
@@ -323,7 +320,7 @@ def cloud_radii(
     value = trace.settled_radius()
     censored = (trace.radii[-1] - value) < margin  # the last probe is the window radius
     a_star_r = _reach(Q, z) + mu(kind, r)
-    strong = {q: _horizon(G.C, G.point_dist, P.n, r, q, kind, a_star_r, window_radius) for q in q_list}
+    strong = {q: _horizon(G, r, q, kind, a_star_r, window_radius) for q in q_list}
     return RadiusEstimate(value, bool(censored), float(margin)), trace, strong
 
 
@@ -348,18 +345,18 @@ def weak_radius(
 # ---------------------------------------------------------------------------
 
 
-def _horizon(C, dist: np.ndarray, n_P: int, r: float, q: int, kind: str, a_star: float, window_radius: float) -> RadiusEstimate:
+def _horizon(G: _GlobalComplex | None, r: float, q: int, kind: str, a_star: float, window_radius: float) -> RadiusEstimate:
     """The cluster-locality horizon of `strong_radius_estimate` at (r, q), on
-    a complex C of P u Q (P's n_P points first) holding every simplex up to
-    dimension q that enters by r, and maybe more: the mu(r)-graph is its
-    edges born by r and the new q-simplices its q-cells through Q born by r.
-    dist holds the points' distances from z.  C is not read at q = 0."""
+    a `_GlobalComplex` G holding every simplex up to dimension q that enters
+    by r, and maybe more: the mu(r)-graph is its edges born by r and the new
+    q-simplices its q-cells through Q born by r.  The reach reads the kept
+    points' distances, the horizons every point's.  G is not read at q = 0."""
     if q == 0:
         return RadiusEstimate(float(a_star), False, 0.0)
-    S = C.verts
+    C, S, dist = G.C, G.C.verts, G.dist
     rows, edges = S.rows[q], S.rows[1][C.times[S.positions[1]] <= r]
     # vertex rows are ascending, so a new simplex has its last vertex in Q
-    new = rows[(rows[:, -1] >= n_P) & (C.times[S.positions[q]] <= r)]
+    new = rows[(rows[:, -1] >= G.n_P) & (C.times[S.positions[q]] <= r)]
     if not len(new):
         return RadiusEstimate(float(a_star), False, 0.0)
     # every simplex through Q at parameter r sits inside B(z, a*(r))
@@ -367,7 +364,7 @@ def _horizon(C, dist: np.ndarray, n_P: int, r: float, q: int, kind: str, a_star:
 
     # a simplex's vertices share a cluster, so its Q vertex finds it
     reach = float(dist[_joined(len(dist), edges, new[:, -1])].max())
-    horizons = np.unique(np.concatenate([dist[dist > a_star], [a_star, window_radius]]))
+    horizons = np.unique(np.concatenate([G.point_dist[G.point_dist > a_star], [a_star, window_radius]]))
     settled = np.flatnonzero(reach <= horizons - 2.0 * mu(kind, r))
     if len(settled):
         return RadiusEstimate(float(horizons[settled[0]]), False, 0.0)
@@ -394,15 +391,14 @@ def strong_radius_estimate(
     since a cut cluster inside B(z, R - 2 mu(r)) has all its neighbours within
     R - mu(r), so it is the whole cluster.  Past percolation the clusters are
     unbounded and the estimate is censored at w.  One `_joined` sweep from
-    the Q vertices of the new simplices finds their clusters.  At q = 0 every
-    new vertex has zero boundary, so it is positive at once and the estimate
-    is a*(r), with no complex built.
+    the Q vertices of the new simplices finds their clusters, on the complex
+    of Q's clusters at (r, q).  At q = 0 every new vertex has zero boundary,
+    so it is positive at once and the estimate is a*(r), with no complex
+    built.
     """
     P, z, Q, window_radius, a_star = _radius_setup(P, Q, z, r, kind, window_radius, [q])
-    pts = np.vstack([P.points, Q]) if P.n else Q
-    # `_horizon` reads no complex at q = 0, so none is built
-    C = build(PointCloud(pts, P.window), kind, r_max=r, q_max=q) if q else None
-    return _horizon(C, np.linalg.norm(pts - z, axis=1), P.n, r, q, kind, a_star, window_radius)
+    G = _GlobalComplex(P, Q, z, kind, r_max=r, q_max=q) if q else None
+    return _horizon(G, r, q, kind, a_star, window_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,8 @@ def swap_difference(
     one complex but not the other, the points swapped in all counting as new.
     The points kept outside Q(z) keep their relative order in both clouds, so
     each simplex on them has the same vertex order and entry time in both,
-    and the two complexes share exactly K(kept)."""
+    and the two complexes share exactly K(kept): the bound is the cells of
+    either complex with a vertex in Q(z)."""
     z = np.asarray(z, dtype=float)
     d = P.d
     half = n ** (1.0 / d) / 2.0
@@ -439,12 +436,12 @@ def swap_difference(
     base = PointCloud(P.points[box.contains(P.points)], box)
     swapped = swap_window(P, P_prime, z).points
     swapped = PointCloud(swapped[box.contains(swapped)], box)
-    kept = PointCloud(base.points[~in_lattice_cube(base.points, z)], box)
-    Cb, Cs, Ck = (build(X, kind, r_max=s, q_max=q + 1) for X in (base, swapped, kept))
+    Cb, Cs = (build(X, kind, r_max=s, q_max=q + 1) for X in (base, swapped))
     query = RankQuery(q, r, s)
     value = reduce(Cb).persistent_betti(query) - reduce(Cs).persistent_betti(query)
-    nb, ns, nk = (int(np.isin(C.dims, (q, q + 1)).sum()) for C in (Cb, Cs, Ck))
-    return SwapDifferenceRecord(int(value), nb + ns - 2 * nk)
+    bound = sum(int(in_lattice_cube(X.points, z)[rows].any(axis=1).sum())
+                for X, C in ((base, Cb), (swapped, Cs)) for rows in C.verts.rows[q:])
+    return SwapDifferenceRecord(int(value), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +461,8 @@ def radius_rows_to_csv(rows: list[tuple[np.ndarray, float, float, RadiusEstimate
 
 def run_radius_jobs(jobs: list[dict]) -> list[tuple[np.ndarray, float, float, RadiusEstimate]]:
     """Batch driver.  Each job: mode (weak, the default, or strong), seed,
-    stream, lambda, window_radius, d, r, s (weak) or q (strong), kind."""
+    stream, lambda, window_radius w, d, z, Q, r, s (weak) or q (strong),
+    kind.  The cloud is sampled on the box of half-side w around z."""
     out = []
     for job in jobs:
         mode = job.get("mode", "weak")
@@ -475,9 +473,10 @@ def run_radius_jobs(jobs: list[dict]) -> list[tuple[np.ndarray, float, float, Ra
         kind = job.get("kind", "rips")
         lam = float(job.get("lambda", 1.0))
         seed = RngSeed(int(job["seed"]), int(job.get("stream", 0)))
-        box = Box(tuple([-w] * d), tuple([w] * d))
-        P = sample_poisson_homogeneous(lam, box, seed)
         z = np.asarray(job.get("z", [0.0] * d), dtype=float)
+        if z.shape != (d,):
+            raise DomainError(f"z needs {d} coordinates, not shape {z.shape}")
+        P = sample_poisson_homogeneous(lam, Box(tuple((z - w).tolist()), tuple((z + w).tolist())), seed)
         Q = np.asarray(job.get("Q", [[0.0] * d]), dtype=float)
         r = float(job["r"])
         if mode == "strong":

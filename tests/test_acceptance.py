@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing PASS or FAIL."""
+"""Acceptance suite: one test per criterion, each printing its PASS or FAIL
+verdict line and comparing it with its committed copy in `VERDICTS`."""
 
 import json
 import math
@@ -41,13 +42,33 @@ from pslab.stabilization import strong_radius_estimate, weak_radius
 
 KAPPA = constant_density(2)
 
+# every criterion's verdict line, as GOLDEN in test_output_bytes.py holds the
+# output hashes: a change that moves one must say why in CHANGES.md and
+# update it here in the same commit; criterion 10 fills in its hash seed
+VERDICTS = {
+    1: "[ACCEPTANCE] criterion 1: PASS (218418 rank queries, 0 mismatches)",
+    2: "[ACCEPTANCE] criterion 2: PASS (76361 event times, 0 mismatches)",
+    3: "[ACCEPTANCE] criterion 3: PASS (500 nested pairs, 0 violations)",
+    4: "[ACCEPTANCE] criterion 4: PASS (0 violations, 0/200 censored)",
+    5: "[ACCEPTANCE] criterion 5: PASS (poisson var 0.9923, binomial var 0.0, alpha 1.0, relation ok)",
+    6: "[ACCEPTANCE] criterion 6: PASS (pair (1.5, 2.0), AD 0.4028 continuity-corrected (1.6452 uncorrected), "
+    "skew 0.0479, kurtosis -0.0869, variance drift 0.0154 (variances 0.0131 -> 0.0167 -> 0.0165))",
+    7: "[ACCEPTANCE] criterion 7: PASS (diff 0.00000 vs 3 SE 0.00000 at n=1000)",
+    8: "[ACCEPTANCE] criterion 8: PASS (|E[R] - alpha| = 0.00050 vs 3 SE 0.00397)",
+    9: "[ACCEPTANCE] criterion 9: PASS (monotone=True, best L*=1.5 slack -0.0563)",
+    10: "[ACCEPTANCE] criterion 10: PASS (replicates 49, 25, 0 recomputed alone equal their CLT rows: True; "
+    "clt, alpha and tails bytes equal in a fresh interpreter (PYTHONHASHSEED={hash_seed}): True)",
+}
 
-def _report(k: int, ok: bool, detail: str):
+
+def _report(k: int, ok: bool, detail: str, **fields):
     line = f"[ACCEPTANCE] criterion {k}: {'PASS' if ok else 'FAIL'} ({detail})"
     # write past pytest's capture so the verdict always reaches the terminal
     stream = getattr(sys, "__stdout__", None) or sys.stdout
     print(line, file=stream, flush=True)
     assert ok, line
+    want = VERDICTS[k].format(**fields)
+    assert line == want, f"the verdict line moved:\n  {line}\nwas\n  {want}"
 
 
 def test_criterion_1_oracle_equivalence():
@@ -303,4 +324,5 @@ def test_criterion_10_determinism(tmp_path):
         rows_equal and bytes_equal,
         f"replicates 49, 25, 0 recomputed alone equal their CLT rows: {rows_equal}; "
         f"clt, alpha and tails bytes equal in a fresh interpreter (PYTHONHASHSEED={hash_seed}): {bytes_equal}",
+        hash_seed=hash_seed,
     )

@@ -201,6 +201,16 @@ def test_radius_job_with_unknown_mode_or_bad_degree_or_dimension_is_config_error
     assert message in err and "Traceback" not in err
 
 
+def test_box_with_a_nan_corner_is_config_error(tmp_path, capsys):
+    """A NaN corner is rejected by the box, which the message names, and not
+    later by the sampler as a bad intensity."""
+    window = {"kind": "box", "lo": [math.nan, 0.0], "hi": [1.0, 1.0]}
+    cfg = _cfg(tmp_path, "s.json", {"process": "poisson_homogeneous", "lambda": 2.0, "window": window, "seed": 1})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "box corners" in err and "lam" not in err and "Traceback" not in err
+
+
 def test_alpha_command_degenerate(tmp_path):
     cfg = _cfg(
         tmp_path,

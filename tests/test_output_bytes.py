@@ -90,7 +90,7 @@ GOLDEN = {
     "complex-cech/complex.txt": "f0fe20ecc5962f9ef238dfe48f8eaef9af5e7a36f6ea248d8243daeedc3559bb",
     "persist/diagram.csv": "64916ca9bd9cd4b47767160ceb67b4d5a0102ceb0761ac91c916a2362ca309f1",
     "persist/queries.csv": "7343a0cb801d768a42d8b2d17bf832c7bff6eaced3bc31d754cbf69c96732d91",
-    "radius/radius.csv": "9ef583803e965ce7f27eaf55e86e18082463fccb683812cb424cb4c9c0f07ba2",
+    "radius/radius.csv": "0fbeb449fe4ca7b461e655f1dd9bb2c6a45615cf84039a47a6fb9e9cec2604a3",
     "alpha/alpha.json": "dfdfe6d076ffef797a242c43176b2c3c6396cf8f02a7d9181decffbd5245e85d",
     "clt/covariance.csv": "af8e855ef4cb13fad0d0c218e48904cd5831cd0aee725caa0d45929ef542ed40",
     "clt/replicates.csv": "5c3d0a051d1536dfb2a57b062a74915b559e35c6d029565f4c15013508b65525",

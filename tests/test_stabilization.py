@@ -186,13 +186,32 @@ def test_weak_dominated_by_strong_random_windows():
 
 
 def test_global_complex_cell_radii_match_per_cell_loop():
-    P = sample_poisson_homogeneous(2.0, Box((-2.0, -2.0), (2.0, 2.0)), RngSeed(8, 0))
+    """The complex is the whole complex's cells on the points joined to Q
+    (by csgraph components of the close pairs), relabelled in their order,
+    with the same times and stored order; the cell radii and the flags of
+    the cells through Q read the kept points' distances."""
+    P = sample_poisson_homogeneous(4.0, Box((-2.0, -2.0), (2.0, 2.0)), RngSeed(8, 0))
     Q = np.array([[0.1, -0.1], [0.4, 0.2]])
-    G = _GlobalComplex(P, Q, np.zeros(2), "cech", r_max=0.6, q_max=3)
+    G = _GlobalComplex(P, Q, np.zeros(2), "cech", r_max=0.3, q_max=3)
     assert set(G.C.dims.tolist()) == {0, 1, 2, 3}
-    dist = G.point_dist
-    assert np.array_equal(G.cell_ball, [dist[list(v)].max() for v in G.C.verts])
-    assert np.array_equal(G.cell_uses_q, [any(i >= P.n for i in v) for v in G.C.verts])
+    pts = np.vstack([P.points, Q])
+    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= mu("cech", 0.3)
+    labels = connected_components(coo_matrix(close), directed=False)[1]
+    kept = np.isin(labels, labels[P.n:])
+    assert 0 < kept[: P.n].sum() < P.n
+    assert G.n_P == kept[: P.n].sum()
+    assert np.array_equal(G.point_dist, np.linalg.norm(pts, axis=1))
+    assert np.array_equal(G.dist, G.point_dist[kept])
+    whole = build(PointCloud(pts, P.window), "cech", r_max=0.3, q_max=3)
+    label = np.cumsum(kept) - 1
+    want = [
+        (t, k, tuple(label[list(v)].tolist()))
+        for t, k, v in zip(whole.times, whole.dims, whole.verts)
+        if kept[list(v)].all()
+    ]
+    assert list(zip(G.C.times, G.C.dims, G.C.verts)) == want
+    assert np.array_equal(G.cell_ball, [G.dist[list(v)].max() for v in G.C.verts])
+    assert np.array_equal(G.cell_uses_q, [any(i >= G.n_P for i in v) for v in G.C.verts])
 
 
 def test_joined_matches_connected_components():
@@ -218,13 +237,18 @@ def test_joined_matches_connected_components():
     assert split > 50
 
 
-class _WholeComplexMasks(_GlobalComplex):
-    """Reference radius layer with whole-complex facet bits: boundary columns
-    are `boundary_masks` (bit j = cell j in the stored order), and
-    `pair_counts` masks rows with one int as wide as the complex."""
+class _WholeComplexMasks:
+    """Reference radius layer on the whole complex of P u Q, with no cut to
+    Q's clusters, and whole-complex facet bits: boundary columns are
+    `boundary_masks` (bit j = cell j in the stored order), and `pair_counts`
+    masks rows with one int as wide as the complex."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, P, Q, z, kind, r_max, q_max):
+        pts = np.vstack([P.points, Q]) if P.n else Q
+        self.C = build(PointCloud(pts, P.window), kind, r_max=r_max, q_max=q_max)
+        self.point_dist = np.linalg.norm(pts - z, axis=1)
+        self.cell_ball = np.array([self.point_dist[list(v)].max() for v in self.C.verts])
+        self.cell_uses_q = np.array([max(v) >= P.n for v in self.C.verts], dtype=bool)
         self.masks = boundary_masks(self.C)
 
     def pair_counts(self, radii, with_q, r, d):
@@ -290,9 +314,10 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
     at r = s every cell is born by r, so D1 is read off D2's residue.  The
     clouds at density 4 make a cell without Q take a residue low, which is
     then reduced again; the test requires that it happens.  The radius layer
-    walks only the components of the edge graph that hold a point of Q,
-    while the reference walks every cell; the test requires clouds where
-    that cut drops cells and clouds where it keeps all of them."""
+    builds only the components of the edge graph that hold a point of Q,
+    while the reference builds and walks every cell; the test requires
+    clouds where that cut drops points and clouds where it keeps all of
+    them."""
     insert = stabilization._Residue.insert
     differences = stabilization._GlobalComplex.differences
     displaced = cut = whole = 0
@@ -306,8 +331,8 @@ def test_radius_layer_matches_whole_complex_masks(monkeypatch):
 
     def spy_differences(self, *args):
         nonlocal cut, whole
-        cut += not self.walked.all()
-        whole += bool(self.walked.all())
+        cut += len(self.dist) < len(self.point_dist)
+        whole += len(self.dist) == len(self.point_dist)
         return differences(self, *args)
 
     monkeypatch.setattr(stabilization._Residue, "insert", spy)
@@ -654,6 +679,20 @@ def test_run_radius_jobs_json():
         cells = line.split(",")
         assert float(cells[3]) >= 0.0
         assert cells[4] in ("true", "false")
+
+
+def test_radius_job_at_z_samples_the_box_around_z():
+    """A job at z != 0 measures B(z, w), so its cloud is sampled on the box
+    of half-side w around z, which holds that ball: each mode's estimate is
+    the one on a cloud sampled there with the job's seed."""
+    z, w, Q = np.array([0.7, -1.3]), 2.0, [[0.8, -1.2]]
+    P = sample_poisson_homogeneous(2.0, Box(tuple(z - w), tuple(z + w)), RngSeed(5, 2))
+    base = {"seed": 5, "stream": 2, "lambda": 2.0, "window_radius": w, "z": z.tolist(), "Q": Q, "kind": "cech"}
+    jobs = [{**base, "r": 0.2, "s": 0.3}, {**base, "mode": "strong", "r": 0.3, "q": 1}]
+    (z_weak, _, _, weak), (z_strong, _, _, strong) = run_radius_jobs(jobs)
+    assert np.array_equal(z_weak, z) and np.array_equal(z_strong, z)
+    assert weak == weak_radius(P, np.array(Q), z, 0.2, 0.3, "cech", window_radius=w)
+    assert strong == strong_radius_estimate(P, np.array(Q), z, 0.3, 1, "cech", window_radius=w)
 
 
 def test_window_radius_around():
