@@ -28,14 +28,7 @@ from .point_process import (
     sample_poisson_homogeneous,
 )
 # strong_radius_estimate is unused here; perfbench/tracer.py patches this attribute
-from .stabilization import (  # noqa: F401
-    AddOneQuery,
-    add_one_cost,
-    check_degrees,
-    cloud_radii,
-    strong_radius_estimate,
-    weak_radius,
-)
+from .stabilization import check_degrees, cloud_radii, strong_radius_estimate, weak_radius  # noqa: F401
 
 CENSORING_LIMIT = 0.10
 # 1% critical value of the modified Anderson-Darling statistic for a
@@ -151,7 +144,9 @@ def estimate_alpha(
     kind: str = "rips",
 ) -> AlphaEstimate:
     """alpha(r,s) = E over X ~ kappa of the add-one cost at the origin of a
-    homogeneous Poisson window with intensity kappa(X)."""
+    homogeneous Poisson window with intensity kappa(X), on the ball B(0, w):
+    D1 - D2 at the last probe, w, of the weak trace that also decides the
+    replicate's censoring.  Rejects a degree outside 0..d-1 before sampling."""
     if r > s:
         raise DomainError("alpha needs r <= s")
     if reps < 2:
@@ -159,6 +154,7 @@ def estimate_alpha(
     if window_radius < 3.0 * mu(kind, s):
         raise DomainError("window radius below a*(s) + 2 mu(s)")
     d = density.d
+    check_degrees([q], d)
     box = Box((-window_radius,) * d, (window_radius,) * d)
     origin = np.zeros((1, d))
 
@@ -167,13 +163,8 @@ def estimate_alpha(
         x = sample_binomial(1, density, sd).points[:1]
         lam = float(density(x)[0])
         P = sample_poisson_homogeneous(lam, box, sd.derive(1))
-        cost = add_one_cost(AddOneQuery(P, origin, q, r, s, kind))
-        if s > 0:
-            est = weak_radius(P, origin, np.zeros(d), r, s, kind=kind, window_radius=window_radius)
-            censored = est.censored
-        else:
-            censored = False
-        return cost, censored
+        est, trace = weak_radius(P, origin, origin[0], r, s, kind=kind, window_radius=window_radius, return_trace=True)
+        return trace.d1[-1, q] - trace.d2[-1, q], est.censored
 
     rows = [one(i) for i in range(reps)]
     costs = np.array([c for c, _ in rows], dtype=float)
@@ -347,9 +338,14 @@ def depoissonization_check(
 ) -> dict:
     """E[R_{n,n}] vs alpha(r,s): paired add-one increments of the scaled
     binomial process against the local Poisson estimate, which must be the
-    one at (q, r, s)."""
+    one at (q, r, s).  An increment is the last row of the weak trace of the
+    last of the n + 1 points, on a window ball that holds them all, so it is
+    exact.  Rejects n < 1 and a degree outside 0..d-1 before sampling."""
     if reps < 2:
         raise DomainError("de-Poissonization needs at least two replicates")
+    if n < 1:
+        raise DomainError(f"de-Poissonization needs n >= 1 points, not n = {n}")
+    check_degrees([q], density.d)
     if alpha is None:
         alpha = estimate_alpha(
             r, s, q, density, window_radius=max(3.0, 3.0 * mu(kind, s)),
@@ -361,8 +357,9 @@ def depoissonization_check(
     def one(rep: int):
         sd = seed.derive(rep)
         base = sample_binomial(n + 1, density, sd).scale(scale)
-        smaller = PointCloud(base.points[:-1], base.window)
-        return add_one_cost(AddOneQuery(smaller, base.points[-1:], q, r, s, kind))
+        smaller, x = PointCloud(base.points[:-1], base.window), base.points[-1]
+        trace = weak_radius(smaller, x[None], x, r, s, kind=kind, window_radius=math.inf, return_trace=True)[1]
+        return trace.d1[-1, q] - trace.d2[-1, q]
 
     vals = np.array([one(i) for i in range(reps)])
     mean_r = float(vals.mean())

@@ -105,7 +105,8 @@ def _betti(P: PointCloud, q: int, r: float, s: float, kind: str) -> int:
 
 
 def add_one_cost(query: AddOneQuery) -> int:
-    """beta^{r,s}_q(K(P u Q)) - beta^{r,s}_q(K(P)), by two persistence runs."""
+    """beta^{r,s}_q(K(P u Q)) - beta^{r,s}_q(K(P)), by two persistence runs:
+    the reference for the weak trace's last row, which pslab reads instead."""
     P = query.P
     if query.Q.size == 0:
         return 0

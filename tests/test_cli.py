@@ -235,6 +235,17 @@ def test_alpha_zero_replicates_is_config_error(tmp_path):
         assert main(["alpha", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_alpha_degree_without_a_column_is_config_error(tmp_path, capsys):
+    cfg = _cfg(
+        tmp_path,
+        "a.json",
+        {"r": 0.3, "s": 0.4, "q": 2, "density": {"kind": "constant", "d": 2}, "window_radius": 3.0, "reps": 50},
+    )
+    assert main(["alpha", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "homology degrees [2] must lie in 0..1" in err and "Traceback" not in err
+
+
 # -- clt ----------------------------------------------------------------------
 
 

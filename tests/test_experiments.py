@@ -23,7 +23,7 @@ from pslab.experiments import (
     variance_relation_check,
     wilson_interval,
 )
-from pslab.filtration import build
+from pslab.filtration import build, restrict
 from pslab.persistence import RankQuery, reduce
 from pslab.point_process import (
     Box,
@@ -143,6 +143,8 @@ def test_alpha_degenerate_q1_is_zero():
 
 
 def test_alpha_matches_paired_seed_oracle():
+    # alpha's cost is defined on the window ball B(0, w): two whole
+    # reductions of the cloud cut to that ball, with and without the origin
     r = s = 0.3
     w, reps, seed = 2.0, 50, RngSeed(17, 0)
     box = Box((-w, -w), (w, w))
@@ -150,8 +152,8 @@ def test_alpha_matches_paired_seed_oracle():
     for i in range(reps):
         sd = seed.derive(i)
         x = sample_binomial(1, KAPPA, sd).points[:1]
-        P = sample_poisson_homogeneous(float(KAPPA(x)[0]), box, sd.derive(1))
-        merged = PointCloud(np.vstack([P.points, np.zeros((1, 2))]), box)
+        P = restrict(sample_poisson_homogeneous(float(KAPPA(x)[0]), box, sd.derive(1)), np.zeros(2), w)
+        merged = PointCloud(np.vstack([P.points, np.zeros((1, 2))]), P.window)
         b1 = reduce(build(merged, "rips", r_max=s, q_max=1)).persistent_betti(RankQuery(0, r, s))
         b0 = reduce(build(P, "rips", r_max=s, q_max=1)).persistent_betti(RankQuery(0, r, s)) if P.n else 0
         vals.append(b1 - b0)
@@ -164,6 +166,32 @@ def test_alpha_validation():
         estimate_alpha(0.5, 0.4, 0, KAPPA, window_radius=3.0, reps=50, seed=RngSeed(0, 0))
     with pytest.raises(DomainError):
         estimate_alpha(0.3, 0.4, 0, KAPPA, window_radius=1.0, reps=50, seed=RngSeed(0, 0))
+
+
+def _no_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    for sampler in ("sample_binomial", "sample_poisson_homogeneous"):
+        monkeypatch.setattr(experiments, sampler, no_draw)
+
+
+def test_alpha_and_depoissonization_reject_a_degree_outside_0_to_d_minus_1(monkeypatch):
+    # the trace that gives the add-one cost has a column per degree 0..d-1
+    _no_draw(monkeypatch)
+    for q in (2, -1):
+        with pytest.raises(DomainError, match="homology degrees"):
+            estimate_alpha(0.3, 0.4, q, KAPPA, window_radius=3.0, reps=50, seed=RngSeed(2, 0))
+        with pytest.raises(DomainError, match="homology degrees"):
+            depoissonization_check(50, 0.3, 0.4, q, KAPPA, reps=50, seed=RngSeed(6, 0))
+
+
+def test_depoissonization_rejects_fewer_than_one_point(monkeypatch):
+    _no_draw(monkeypatch)
+    alpha = AlphaEstimate(0.0, 0.0, 0, 1.0, 0.0, 3.0, 0.0)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match=f"n = {n}"):
+            depoissonization_check(n, 0.0, 0.0, 0, KAPPA, reps=60, seed=RngSeed(6, 0), alpha=alpha)
 
 
 def test_alpha_needs_two_replicates():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pslab.filtration import build
 from pslab.persistence import RankQuery, boundary_masks, persistent_betti_direct_all, reduce
 from pslab.point_process import Box, PointCloud, RngSeed, sample_poisson_homogeneous, unit_box
+from pslab.stabilization import AddOneQuery, add_one_cost, weak_radius
 
 # a coordinate is uniform or on a coarse grid, so that ties and repeated
 # points are drawn often
@@ -248,3 +249,33 @@ def test_facet_ranks_match_the_tuple_derivation_on_large_clouds():
         C = build(P, kind, r_max, q_max)
         assert int(C.dims.max()) == q_max and C.n_cells > 2000
         _assert_facet_ranks_match_reference(C)
+
+
+# what alpha and de-Poissonization rest on: D1 - D2 in the last row of the
+# weak trace, on a window ball that holds every point, is the add-one cost
+# beta(K(P u Q)) - beta(K(P)) of two whole reductions, for every q < d.
+# Rips at s = 1 (Cech at s = 1/2 has the same edges) has mean degree 1.57
+# (d = 2) or 1.05 (d = 3) at the lower intensity, below the continuum
+# percolation thresholds of about 4.5 and 2.7, and 9.4 or 6.3, past them,
+# at the higher one
+PERCOLATION_CASES = {2: (Box((-2.5,) * 2, (2.5,) * 2), (0.5, 3.0)), 3: (Box((-1.5,) * 3, (1.5,) * 3), (0.25, 1.5))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([("rips", 1.0), ("cech", 0.5)]),
+    st.booleans(),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(0, 2**16),
+)
+def test_weak_trace_ends_at_the_add_one_cost(d, cap, past, m, r_share, seed):
+    kind, s = cap
+    r = r_share * s
+    box, intensities = PERCOLATION_CASES[d]
+    P = sample_poisson_homogeneous(intensities[past], box, RngSeed(seed, 0))
+    Q = RngSeed(seed, 1).generator().uniform(-0.5, 0.5, (m, d))
+    _, trace = weak_radius(P, Q, np.zeros(d), r, s, kind=kind, window_radius=math.inf, return_trace=True)
+    costs = [add_one_cost(AddOneQuery(P, Q, q, r, s, kind)) for q in range(d)]
+    assert (trace.d1[-1] - trace.d2[-1]).tolist() == costs
