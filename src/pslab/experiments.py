@@ -146,15 +146,16 @@ def estimate_alpha(
     """alpha(r,s) = E over X ~ kappa of the add-one cost at the origin of a
     homogeneous Poisson window with intensity kappa(X), on the ball B(0, w):
     D1 - D2 at the last probe, w, of the weak trace that also decides the
-    replicate's censoring.  Rejects a degree outside 0..d-1 before sampling."""
-    if r > s:
-        raise DomainError("alpha needs r <= s")
+    replicate's censoring.  Checks every input before sampling."""
     if reps < 2:
         raise DomainError("alpha needs at least two replicates")
-    if window_radius < 3.0 * mu(kind, s):
-        raise DomainError("window radius below a*(s) + 2 mu(s)")
     d = density.d
     check_degrees([q], d)
+    RankQuery(q, r, s)  # rejects a NaN or negative r, and r > s
+    if not math.isfinite(window_radius):
+        raise DomainError(f"alpha needs a finite window radius, not {window_radius}")
+    if window_radius < 3.0 * mu(kind, s):
+        raise DomainError("window radius below a*(s) + 2 mu(s)")
     box = Box((-window_radius,) * d, (window_radius,) * d)
     origin = np.zeros((1, d))
 
@@ -266,15 +267,11 @@ def run_clt(config: CltConfig) -> CltResult:
 
 def _jackknife_cov_se(std: np.ndarray) -> np.ndarray:
     """Leave-one-out standard errors of the entries of the covariance matrix."""
-    r, l = std.shape
-    thetas = np.empty((r, l, l))
-    s1 = std.sum(axis=0)
-    s2 = std.T @ std
-    for i in range(r):
-        xi = std[i]
-        m = (s1 - xi) / (r - 1)
-        raw = s2 - np.outer(xi, xi)
-        thetas[i] = (raw - (r - 1) * np.outer(m, m)) / (r - 2)
+    r = std.shape[0]
+    # leave-one-out means (r, l) and covariances (r, l, l), one row each
+    m = (std.sum(axis=0) - std) / (r - 1)
+    outer = std[:, :, None] * std[:, None, :]
+    thetas = (std.T @ std - outer - (r - 1) * (m[:, :, None] * m[:, None, :])) / (r - 2)
     bar = thetas.mean(axis=0)
     return np.sqrt((r - 1) / r * ((thetas - bar) ** 2).sum(axis=0))
 
@@ -422,10 +419,16 @@ def radius_tail_experiment(
     if reps < 1:
         raise DomainError("radius tails need at least one replicate")
     check_degrees(q_list, d)
+    r_grid = [float(r) for r in r_grid]
     L_grid = sorted(float(L) for L in L_grid)
+    # written as negations so that a NaN fails them
+    if not r_grid or not L_grid:
+        raise DomainError(f"radius tails need a nonempty r grid and L grid, not {r_grid} and {L_grid}")
+    if not all(r >= 0 for r in r_grid):
+        raise DomainError(f"every r in the r grid must be >= 0, not {r_grid}")
     if not all(map(math.isfinite, L_grid)):
         raise DomainError("every L in the L grid must be finite")
-    max_r = max(float(r) for r in r_grid)
+    max_r = max(r_grid)
     if not window >= max(L_grid) + 2.0 * mu(kind, max_r):
         raise DomainError("window below max L + 2 mu(max r)")
     box = Box((-window,) * d, (window,) * d)
@@ -440,7 +443,7 @@ def radius_tail_experiment(
 
             def one(rep: int):
                 P = sample_poisson_homogeneous(float(lam), box, base.derive(rep))
-                est, trace, strong = cloud_radii(P, origin, z, float(r), float(r), q_list, kind, window)
+                est, trace, strong = cloud_radii(P, origin, z, r, r, q_list, kind, window)
                 weak_vals = {
                     q: (math.inf if est.censored else trace.settled_radius(q)) for q in q_list
                 }
@@ -457,7 +460,7 @@ def radius_tail_experiment(
                         rows.append(
                             {
                                 "lambda": float(lam),
-                                "r": float(r),
+                                "r": r,
                                 "q": int(q),
                                 "statistic": stat,
                                 "L": L,

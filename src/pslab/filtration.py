@@ -3,7 +3,7 @@
 A filtered complex stores every simplex of dimension <= q_max whose entry time
 is <= r_max, ordered by (time, dimension, lexicographic vertex tuple).  Entry
 times: Rips uses the diameter of the simplex, Cech the radius of the smallest
-enclosing ball of its vertices.
+enclosing ball of its vertices, which is also the radius its cofaces build on.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _circumballs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _enclosing_balls(X: np.ndarray, fc: np.ndarray, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers and radii of the smallest enclosing balls of simplices X (shape
-    (m, k + 1, d), k >= 2), from the balls of their facets: fc[:, c] and
-    fr[:, c] are the center and radius of the facet without vertex c.  The
+    (m, k + 1, d), k >= 2), from their facets' balls: fc[:, c] and fr[:, c],
+    the center and entry time (= radius) of the facet without vertex c.  The
     facets are tried by omitted vertex c = k, ..., 0; one counts if its ball
     holds vertex c, and the first of the strictly smallest counted ones wins.
     Simplices with none have every vertex on their ball: the circumball."""
@@ -217,9 +217,9 @@ def close_pairs(pts: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]
     # query slightly wide: the tree compares squared distances, which can
     # disagree by 1 ulp with the norms used for filtration times
     cand = cKDTree(pts).query_pairs(cutoff * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
-    cand = np.sort(np.asarray(cand, dtype=np.intp).reshape(-1, 2), axis=1)
-    # the keys i * n + j are distinct, so a plain argsort gives the
-    # lexicographic order
+    cand = np.asarray(cand, dtype=np.intp).reshape(-1, 2)
+    # `query_pairs` gives i < j, and the keys i * n + j are distinct, so a
+    # plain argsort gives the lexicographic order
     cand = cand[np.argsort(cand[:, 0] * len(pts) + cand[:, 1])]
     lengths = _norms(pts[cand[:, 0]] - pts[cand[:, 1]])
     keep = lengths <= cutoff
@@ -236,8 +236,8 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
 
 def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex:
     """The filtered complex of `kind` ("rips" or "cech") on P: every simplex
-    of dimension <= q_max that enters by r_max.  At r_max = 0 it holds the
-    vertices alone, which time-zero queries use."""
+    of dimension <= q_max that enters by r_max (at 0, the vertices alone, for
+    time-zero queries).  A Cech cell's ball radius is its entry time."""
     cutoff = mu(kind, r_max)  # rejects an unknown kind
     if not r_max >= 0:
         raise DomainError("r_max must be nonnegative")
@@ -248,9 +248,9 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
 
     # Per dimension k: the k-simplices as vertex rows in lexicographic order,
     # their entry times and their facets' indices among those rows; for Cech
-    # also the centers and radii of their smallest enclosing balls, from which
-    # the next dimension's balls are built.  `codes` keys the rows of the last
-    # dimension as (index of the prefix face) * n + last vertex, ascending.
+    # also the centers of their smallest enclosing balls (the radii are the
+    # times), from which the next dimension's balls are built.  `codes` keys
+    # the last dimension's rows, ascending, as (prefix face) * n + last vertex.
     simplices = [np.arange(n, dtype=np.intp).reshape(n, 1)]
     times = [np.zeros(n)]
     facets = [np.empty((n, 0), dtype=np.intp)]
@@ -265,7 +265,6 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
         codes = edges[:, 0] * n + edges[:, 1]
         if kind == "cech":
             center = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
-            radius = _norms(pts[edges[:, 0]] - center)
         # Sibling join: a k-simplex joins a (k-1)-row `owner` with a later row
         # `sibling` of the same prefix face, the rest of owner's run of equal
         # codes // n.  Its facet without vertex k is owner, the one without
@@ -298,10 +297,10 @@ def build(P: PointCloud, kind: str, r_max: float, q_max: int) -> FilteredComplex
             if kind == "cech":
                 # the time is the largest of the radius and the facet times,
                 # so that no facet enters after its simplex
-                center, radius = _enclosing_balls(pts[cells], center[at], radius[at])
+                center, radius = _enclosing_balls(pts[cells], center[at], times[k - 1][at])
                 t = np.maximum(radius, t)
                 keep = t <= r_max
-                cells, t, at, codes, center, radius = (x[keep] for x in (cells, t, at, codes, center, radius))
+                cells, t, at, codes, center = (x[keep] for x in (cells, t, at, codes, center))
             simplices.append(cells)
             times.append(t)
             facets.append(at)

@@ -361,6 +361,24 @@ def test_nan_in_a_config_is_named_as_a_config_error(tmp_path, capsys, command, p
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("alpha", {"r": 0.3, "s": 0.4, "q": 0, "density": {"kind": "constant", "d": 2},
+                   "window_radius": math.inf, "reps": 50}, "window radius, not inf"),
+        ("tails", {**_TAILS_GRID, "r_grid": []}, "nonempty r grid"),
+    ],
+    ids=["alpha-window", "tails-r-grid"],
+)
+def test_a_bad_value_is_named_before_sampling(tmp_path, capsys, command, payload, message):
+    # before, an infinite window radius reached numpy's Poisson sampler ("lam
+    # value too large"), and an empty r grid failed in max()
+    cfg = _cfg(tmp_path, f"{command}.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "lam" not in err and "Traceback" not in err
+
+
 def test_report_round_trip_byte_identical(tmp_path):
     cfg = _cfg(tmp_path, "clt.json", {**CLT_DEGENERATE, "pairs": [[0.3, 0.4]], "n_grid": [30], "replicates": 50, "r_max": 0.4})
     out = tmp_path / "out"

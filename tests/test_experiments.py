@@ -186,6 +186,34 @@ def test_alpha_and_depoissonization_reject_a_degree_outside_0_to_d_minus_1(monke
             depoissonization_check(50, 0.3, 0.4, q, KAPPA, reps=50, seed=RngSeed(6, 0))
 
 
+def test_alpha_checks_its_inputs_before_sampling(monkeypatch):
+    # an infinite window radius used to reach numpy's Poisson sampler, a NaN
+    # one was blamed on the box corners, and a NaN or negative r was rejected
+    # only after a cloud was drawn
+    _no_draw(monkeypatch)
+    for w in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"finite window radius, not {w}"):
+            estimate_alpha(0.3, 0.4, 0, KAPPA, window_radius=w, reps=50, seed=RngSeed(2, 0))
+    for r, s in ((math.nan, 0.4), (-0.5, 0.4), (0.3, math.nan), (0.5, 0.4)):
+        with pytest.raises(DomainError, match="rank query needs r"):
+            estimate_alpha(r, s, 0, KAPPA, window_radius=3.0, reps=50, seed=RngSeed(2, 0))
+
+
+def test_radius_tails_check_their_grids_before_sampling(monkeypatch):
+    # an empty r grid used to fail in max(), a NaN r was blamed on the window,
+    # and a negative r was rejected only after a cloud was drawn
+    _no_draw(monkeypatch)
+    grids = {"r_grid": [0.5], "L_grid": [0.5, 1.0]}
+    for name, grid, message in (
+        ("r_grid", [], "nonempty r grid"),
+        ("L_grid", [], "nonempty r grid and L grid"),
+        ("r_grid", [0.5, math.nan], "every r in the r grid"),
+        ("r_grid", [-0.5], "every r in the r grid"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            radius_tail_experiment([1.0], q_list=[0], reps=2, window=3.0, seed=RngSeed(9, 0), **{**grids, name: grid})
+
+
 def test_depoissonization_rejects_fewer_than_one_point(monkeypatch):
     _no_draw(monkeypatch)
     alpha = AlphaEstimate(0.0, 0.0, 0, 1.0, 0.0, 3.0, 0.0)

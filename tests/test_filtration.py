@@ -237,11 +237,12 @@ def _reference_circumball(R):
 def _reference_triangle_ball(p, q, r):
     """The per-triangle ball that the stacked kernel replaced, kept here as the
     reference: the first of the strictly smallest edge-midpoint balls that
-    hold the third vertex, else the circumball."""
+    hold the third vertex, else the circumball.  An edge ball's radius is the
+    edge's Cech time, half its length (halving is exact)."""
     best = None
     for a, b, other in ((p, q, r), (p, r, q), (q, r, p)):
         c = 0.5 * (a + b)
-        rad = _reference_norm(a - c)
+        rad = _reference_norm(a - b) / 2.0
         if _reference_norm(other - c) <= (1.0 + MB_TOL) * rad:
             if best is None or rad < best[1]:
                 best = (c, rad)
@@ -251,10 +252,9 @@ def _reference_triangle_ball(p, q, r):
 def _triangle_balls(X):
     """Balls of triangles X (shape (m, 3, d)) as `build` computes them: the
     facet without vertex c is the edge of the other two, whose ball has its
-    center at the midpoint and its radius from the first vertex."""
+    center at the midpoint and its entry time, half its length, as radius."""
     first, second = X[:, [1, 0, 0]], X[:, [2, 2, 1]]
-    centers = 0.5 * (first + second)
-    return _enclosing_balls(X, centers, _norms(first - centers))
+    return _enclosing_balls(X, 0.5 * (first + second), _norms(first - second) / 2.0)
 
 
 def _assert_triangle_balls_exact(X):
@@ -298,7 +298,8 @@ def test_triangle_balls_match_the_per_triangle_miniball_exactly():
             assert len(rows) > 1000
             radii = _assert_triangle_balls_exact(P.points[rows])
             # `build` enters a triangle at the largest of its radius and its
-            # edges' half close-pair lengths, which may be an ulp larger
+            # edges' half close-pair lengths, which may be an ulp larger than
+            # a circumball's radius
             edges, lengths = close_pairs(P.points, mu("cech", r_max))
             half = dict(zip(map(tuple, edges.tolist()), (lengths / 2.0).tolist()))
             want = {}
@@ -308,6 +309,18 @@ def test_triangle_balls_match_the_per_triangle_miniball_exactly():
                     want[i, j, k] = t
             C = build(P, "cech", r_max, 2)
             assert {v: t for v, t, q in zip(C.verts, C.times.tolist(), C.dims.tolist()) if q == 2} == want
+
+
+def test_cech_has_no_ulp_length_bars():
+    # a simplex that takes a facet's ball enters at that facet's time: with
+    # ball radii rounded apart from the entry times, about half the positive
+    # beta_1 bars of these clouds were shorter than 1e-12
+    for d, r_max in ((2, 0.7), (3, 0.6)):
+        for i in range(4):
+            P = sample_scaled_process("binomial", constant_density(d), 1000, RngSeed(3).derive(i))
+            D = reduce(build(P, "cech", r_max, d))
+            life = (D.deaths - D.births)[np.isfinite(D.deaths)]
+            assert not np.any((life > 0) & (life < 1e-12))
 
 
 def test_circumballs_raise_when_the_svd_does_not_converge(capfd):
@@ -338,6 +351,26 @@ _coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda i: i /
 def test_triangle_balls_match_the_per_triangle_miniball_on_small_clouds(rows):
     pts = np.array(rows, dtype=float)
     _assert_triangle_balls_exact(pts[list(itertools.combinations(range(len(pts)), 3))])
+
+
+def _brute_close_pairs(pts, cutoff):
+    rows = [(i, j) for i, j in itertools.combinations(range(len(pts)), 2) if np.linalg.norm(pts[i] - pts[j]) <= cutoff]
+    return np.array(rows, dtype=np.intp).reshape(-1, 2), [float(np.linalg.norm(pts[i] - pts[j])) for i, j in rows]
+
+
+def test_close_pairs_are_the_brute_force_pairs_in_lexicographic_order():
+    rng = np.random.default_rng(31)
+    # a shuffled quarter lattice, whose distances tie at every cutoff taken
+    # from them; coincident points; a uniform cloud; and 0 and 1 points
+    lattice = rng.permutation(np.array(list(itertools.product(range(5), repeat=2))) / 4.0)
+    coincident = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.5]])
+    uniform = rng.random((60, 3))
+    for pts in (lattice, coincident, uniform, np.empty((0, 2)), np.array([[0.3, 0.7]])):
+        dists = [float(np.linalg.norm(p - q)) for p, q in itertools.combinations(pts, 2)]
+        for cutoff in sorted(set(dists))[:12] + [0.0, 0.3, 2.0]:
+            got, lengths = close_pairs(pts, cutoff)
+            want, want_lengths = _brute_close_pairs(pts, cutoff)
+            assert np.array_equal(got, want) and lengths.tolist() == want_lengths
 
 
 def test_stable_argsort_matches_numpy_stable_argsort():

@@ -87,7 +87,7 @@ GOLDEN = {
     "sample-binomial/cloud.csv": "f6e82e0388dce71ffe98b3ee185865a5d795ab38079bbe3bc175a41650dc4635",
     "sample-binomial/cloud.json": "12a63e77cd4ee8d5875ab494ae0027c6ce839fb0338bbed54a14573d57c1ac2a",
     "complex-rips/complex.txt": "6271e91ee3031dcc9f248e14808300337278704fb6f19d900ec7b3664425a0df",
-    "complex-cech/complex.txt": "f0fe20ecc5962f9ef238dfe48f8eaef9af5e7a36f6ea248d8243daeedc3559bb",
+    "complex-cech/complex.txt": "f6677a981a3cbd47ad677bd758f519e2d6c1f6a186ef721c0fff89627bf88abd",
     "persist/diagram.csv": "64916ca9bd9cd4b47767160ceb67b4d5a0102ceb0761ac91c916a2362ca309f1",
     "persist/queries.csv": "7343a0cb801d768a42d8b2d17bf832c7bff6eaced3bc31d754cbf69c96732d91",
     "radius/radius.csv": "0fbeb449fe4ca7b461e655f1dd9bb2c6a45615cf84039a47a6fb9e9cec2604a3",
